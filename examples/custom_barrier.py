@@ -19,7 +19,6 @@ import numpy as np
 from repro import BitonicSort, FFT, SmithWaterman, run
 from repro.harness.autotune import probe_barrier_cost
 from repro.harness.report import format_table
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy
 
 _IDS = count()
@@ -58,7 +57,7 @@ class TicketBarrier(SyncStrategy):
             yield from ctx.spin_until(
                 self._epoch,
                 lambda e=self._epoch, t=epoch: e.data[0] >= t,
-                f"epoch {epoch}", spec=WaitSpec(epoch, lo=0),
+                f"epoch {epoch}",
             )
         yield from ctx.syncthreads()
         ctx.record("sync", start, round=round_idx, strategy=self.name)

@@ -32,7 +32,6 @@ from repro import DeadlockError, MeanMicrobench, OccupancyError, get_preset, run
 from repro.gpu.device import Device
 from repro.gpu.host import Host
 from repro.gpu.kernel import KernelSpec
-from repro.simcore.effects import WaitSpec
 
 
 def main() -> None:
@@ -54,7 +53,7 @@ def main() -> None:
     def naive_barrier(ctx):
         yield from ctx.atomic_add(arrivals, 0, 1)
         yield from ctx.spin_until(
-            arrivals, lambda: arrivals.data[0] >= n, "naive grid barrier", spec=WaitSpec(n, lo=0)
+            arrivals, lambda: arrivals.data[0] >= n, "naive grid barrier"
         )
 
     spec = KernelSpec(
@@ -92,7 +91,7 @@ def main() -> None:
     def naive_barrier3(ctx):
         yield from ctx.atomic_add(arrivals3, 0, 1)
         yield from ctx.spin_until(
-            arrivals3, lambda: arrivals3.data[0] >= n, "naive grid barrier", spec=WaitSpec(n, lo=0)
+            arrivals3, lambda: arrivals3.data[0] >= n, "naive grid barrier"
         )
 
     spec3 = KernelSpec(

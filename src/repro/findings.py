@@ -10,12 +10,13 @@ output, stored reports and the docs render every finding the same way:
     [SC003 error] stale-spin-read: <message> (paper §5; re-read the cell)
     [DYN002 error] barrier-deadlock: <message> (paper §5)
 
-Static codes are ``SC001``–``SC008``; dynamic bug classes keep their
-historical slug names (``barrier-deadlock`` …) and carry ``DYN00x``
-codes.  ``related`` links each static code to the dynamic classes the
-same defect produces at runtime — the cross-validation harness
-(:mod:`repro.staticcheck.crossval`) holds the two layers to that
-mapping.
+Static codes are ``SC001``–``SC008`` plus the advice-level ``SC100``
+(a strategy the cost model would not pick); dynamic bug classes keep
+their historical slug names (``barrier-deadlock`` …) and carry
+``DYN00x`` codes.  ``related`` links each static code to the dynamic
+classes the same defect produces at runtime — the cross-validation
+harness (:mod:`repro.staticcheck.crossval`) holds the two layers to
+that mapping.
 """
 
 from __future__ import annotations
@@ -182,23 +183,6 @@ _STATIC = (
         ),
         origin="static",
         related=("DYN002",),
-    ),
-    FindingCode(
-        code="SC009",
-        name="undeclared-wait-spec",
-        severity="advice",
-        paper_ref="§5.3",
-        summary=(
-            "a spin site whose predicate is a mechanical threshold "
-            "check carries no WaitSpec declaration, so the fast "
-            "engine's indexed-waiter path silently degrades to "
-            "predicate re-evaluation"
-        ),
-        remedy=(
-            "declare the awaited condition with "
-            "spec=WaitSpec(threshold, lo=...) at the spin site"
-        ),
-        origin="static",
     ),
     FindingCode(
         code="SC100",

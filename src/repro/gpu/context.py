@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.errors import ConfigError, MemoryError_
 from repro.gpu.memory import GlobalArray
 from repro.gpu.shared import SharedMemory
-from repro.simcore.effects import Acquire, Delay, Release, WaitSpec, WaitUntil
+from repro.simcore.effects import Acquire, Delay, Release, WaitUntil
 from repro.simcore.trace import Trace
 
 __all__ = ["BlockCtx"]
@@ -196,7 +196,6 @@ class BlockCtx:
         array: GlobalArray,
         predicate: Callable[[], bool],
         reason: str,
-        spec: Optional[WaitSpec] = None,
     ) -> Generator:
         """Spin on global memory until ``predicate()`` holds.
 
@@ -204,14 +203,9 @@ class BlockCtx:
         of busy-ticking; when the awaited store lands it pays one
         spin-observation latency (the paper's ``t_c``).  Returns the
         number of predicate polls while blocked (diagnostics).
-
-        ``spec`` optionally declares the same condition as a
-        :class:`~repro.simcore.effects.WaitSpec` so the fast engine can
-        index the wait by cell and threshold instead of polling the
-        lambda; it must be equivalent to ``predicate``.
         """
         start = self.now
-        polls = yield WaitUntil(array.signal, predicate, reason, spec)
+        polls = yield WaitUntil(array.signal, predicate, reason)
         if self.device.faults is not None:
             # Spurious wakeups: the spin loop observed the cell extra
             # times without its predicate holding; each costs one

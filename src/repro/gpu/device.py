@@ -12,7 +12,6 @@ from repro.gpu.kernel import KernelSpec
 from repro.gpu.scheduler import BlockScheduler
 from repro.simcore.effects import Acquire, Delay, Join, Release, Spawn, WaitUntil
 from repro.simcore.engine import Engine
-from repro.simcore.fastpath import make_engine, resolve_engine_mode
 from repro.simcore.trace import Trace
 from repro.gpu.memory import GlobalMemory
 
@@ -33,7 +32,6 @@ class Device:
         config: Optional[DeviceConfig] = None,
         *,
         engine: Optional[Engine] = None,
-        engine_mode: Optional[str] = None,
         device_wide_atomics: bool = False,
         fuzzer=None,
         faults=None,
@@ -41,16 +39,9 @@ class Device:
         self.config = config or DeviceConfig()
         #: the simulation engine — private by default; pass a shared one
         #: to put several devices in one simulated system (multi-GPU).
-        #: ``engine_mode`` selects the event core ("reference" or "fast",
-        #: see docs/engine.md); None defers to ``use_engine_mode`` /
-        #: ``REPRO_ENGINE_MODE`` and defaults to the reference heap loop.
         #: ``fuzzer`` (a :class:`repro.sanitize.ScheduleFuzzer`) perturbs
         #: same-time event ordering and SM placement tie-breaking.
-        self.engine_mode = (
-            resolve_engine_mode(engine_mode) if engine is None else "custom"
-        )
-        self.engine = engine or make_engine(
-            self.engine_mode,
+        self.engine = engine or Engine(
             tiebreak=fuzzer.queue_priority if fuzzer is not None else None,
         )
         self.memory = GlobalMemory(self.engine, self.config.global_mem_bytes)

@@ -22,10 +22,10 @@ evidence that folding intra-block parallelism into costs is sound.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Tuple
 
 from repro.errors import SyncProtocolError
-from repro.simcore.effects import Delay, Join, Spawn, WaitSpec, WaitUntil
+from repro.simcore.effects import Delay, Join, Spawn, WaitUntil
 from repro.simcore.signal import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,11 +101,10 @@ class WarpCtx:
         array: "GlobalArray",
         predicate: Callable[[], bool],
         reason: str,
-        spec: Optional["WaitSpec"] = None,
     ) -> Generator:
         """Spin-wait, one observation charged on success."""
         polls = yield from self.block.spin_until(
-            array, predicate, f"w{self.warp_id}: {reason}", spec
+            array, predicate, f"w{self.warp_id}: {reason}"
         )
         return polls
 

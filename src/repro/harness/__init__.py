@@ -9,14 +9,14 @@
 * :mod:`repro.harness.experiments` — drivers for Table 1, Fig. 11,
   Fig. 13a–c, Fig. 14a–c, Fig. 15, the headline speedups and the
   model-validation study.
-* :mod:`repro.harness.perf` — engine-throughput workloads and the
-  schema-versioned ``BENCH_*.json`` protocol behind CI's bench smoke.
+* :mod:`repro.harness.perf` — the schema-versioned ``BENCH_*.json``
+  protocol.
 * :mod:`repro.harness.report` — plain-text table/series rendering.
 * :mod:`repro.harness.cli` — ``python -m repro.harness <experiment>``.
 """
 
 from repro.harness.autotune import TuneResult, autotune, probe_barrier_cost
-from repro.harness.perf import compare_modes, load_bench, measure_workload, render_bench
+from repro.harness.perf import load_bench, render_bench
 from repro.harness.phases import Breakdown, breakdown, compute_only, sync_time_ns
 from repro.harness.resilient import DegradePolicy, RetryPolicy
 from repro.harness.runner import RaceMonitor, RecoveryEvent, RunResult, run
@@ -33,10 +33,8 @@ __all__ = [
     "TuneResult",
     "autotune",
     "breakdown",
-    "compare_modes",
     "compute_only",
     "load_bench",
-    "measure_workload",
     "probe_barrier_cost",
     "render_bench",
     "repeat_run",

@@ -1,334 +1,33 @@
-"""Engine throughput workloads and the ``BENCH_*.json`` protocol.
+"""The ``BENCH_*.json`` protocol.
 
-The fast-path engine (:mod:`repro.simcore.fastpath`) is sold on one
-number: events simulated per second of host wall-clock.  This module
-owns everything needed to produce and consume that number honestly:
+:func:`render_bench` / :func:`load_bench` own the schema-versioned JSON
+envelope (shared with every other batch result — see
+:mod:`repro.serialization`) behind ``benchmarks/out/BENCH_*.json``.
 
-* canonical engine-level workloads (:data:`ENGINE_WORKLOADS`) that pin
-  down the shapes the two engines differ on — pure ``Delay`` chains
-  (epoch jumping), per-round barrier storms (calendar-queue bucketing)
-  and the paper's spin wall, many parked spinners polled by a trickle of
-  stores (flag indexing);
-* :func:`measure_workload` / :func:`compare_modes`, which time one
-  workload under an engine mode and refuse to report a comparison whose
-  observables (event count, final virtual clock) diverge between modes
-  — a benchmark of two engines that did different work is meaningless;
-* :func:`render_bench` / :func:`load_bench`, the schema-versioned JSON
-  envelope (shared with every other batch result — see
-  :mod:`repro.serialization`) behind ``benchmarks/out/BENCH_engine.json``
-  and ``BENCH_fig11.json``, which CI's ``engine-equiv`` job reads to
-  fail the build when the fast engine stops being fast.
-
-Wall-clock numbers vary run to run; the JSON layout does not.  Keys are
-sorted, floats are rounded to fixed precision, and everything else
-(events, clocks, parameters) is exactly reproducible.
+Wall-clock numbers vary run to run; the JSON layout does not: keys are
+sorted and the envelope carries its schema version.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict
 
-import numpy as np
-
-from repro.errors import ExperimentError
 from repro.serialization import dump_result, parse_result, require
-from repro.simcore import (
-    Delay,
-    Fire,
-    Signal,
-    WaitSpec,
-    WaitUntil,
-    make_engine,
-)
 
 __all__ = [
     "BENCH_KIND",
-    "ENGINE_WORKLOADS",
-    "compare_micro",
-    "compare_modes",
     "load_bench",
-    "measure_micro",
-    "measure_workload",
     "render_bench",
-    "workload_barrier_storm",
-    "workload_pingpong",
-    "workload_spin_wall",
 ]
 
 #: ``kind`` tag of the bench envelope (``{"schema": .., "kind": "bench"}``).
 BENCH_KIND = "bench"
 
-#: a workload is a builder: given a fresh engine, spawn its processes.
-WorkloadBuilder = Callable[[Any], None]
-
-
-# ---------------------------------------------------------------------------
-# Canonical engine workloads
-# ---------------------------------------------------------------------------
-
-def workload_pingpong(n_events: int = 100_000) -> WorkloadBuilder:
-    """Pure ``Delay`` chain — isolates the epoch-jump/pump fast path."""
-
-    def build(engine: Any) -> None:
-        def proc():
-            for _ in range(n_events):
-                yield Delay(10)
-
-        engine.spawn(proc(), "pingpong")
-
-    return build
-
-
-def workload_spin_wall(
-    spinners: int = 200, stores: int = 2_000
-) -> WorkloadBuilder:
-    """The paper's shape: ``spinners`` processes parked on one mutex cell
-    while ``stores`` increments trickle in.
-
-    The reference engine re-evaluates every parked predicate on every
-    store — O(spinners x stores) polls; the flag index answers each
-    store with one cell read, so this is the headline fast-path win.
-    """
-
-    def build(engine: Any) -> None:
-        data = np.zeros(1, dtype=np.int64)
-        signal = Signal("mutex", source=data)
-
-        def spinner() -> Any:
-            yield WaitUntil(
-                signal,
-                lambda: bool(data[0] >= stores),
-                f"mutex>={stores}",
-                spec=WaitSpec(stores, lo=0),
-            )
-            yield Delay(5)
-
-        def storer() -> Any:
-            for _ in range(stores):
-                yield Delay(3)
-                data[0] += 1
-                yield Fire(signal)
-
-        for i in range(spinners):
-            engine.spawn(spinner(), f"spin{i}")
-        engine.spawn(storer(), "storer")
-
-    return build
-
-
-def workload_barrier_storm(
-    blocks: int = 64, rounds: int = 100
-) -> WorkloadBuilder:
-    """gpu-simple's accumulating barrier at engine level: every process
-    bumps the shared cell, fires, and spins for ``round * blocks`` —
-    same-timestamp wake bursts that exercise the calendar-queue buckets.
-    """
-
-    def build(engine: Any) -> None:
-        data = np.zeros(1, dtype=np.int64)
-        signal = Signal("mutex", source=data)
-
-        def block(i: int) -> Any:
-            for r in range(1, rounds + 1):
-                yield Delay(7 + i % 5)
-                data[0] += 1
-                yield Fire(signal)
-                goal = r * blocks
-                yield WaitUntil(
-                    signal,
-                    lambda g=goal: bool(data[0] >= g),
-                    f"mutex>={goal}",
-                    spec=WaitSpec(goal, lo=0),
-                )
-
-        for i in range(blocks):
-            engine.spawn(block(i), f"blk{i}")
-
-    return build
-
-
-#: name -> (builder factory, kwargs) for the standard bench set.
-ENGINE_WORKLOADS: Dict[str, WorkloadBuilder] = {
-    "pingpong": workload_pingpong(),
-    "barrier_storm": workload_barrier_storm(),
-    "spin_wall": workload_spin_wall(),
-}
-
-
-# ---------------------------------------------------------------------------
-# Measurement
-# ---------------------------------------------------------------------------
-
-def measure_workload(
-    build: WorkloadBuilder, mode: str, repeats: int = 3
-) -> Dict[str, Any]:
-    """Best-of-``repeats`` wall-clock for one workload under one engine.
-
-    Returns ``events`` (dispatched), ``now_ns`` (final virtual clock),
-    ``seconds`` and ``events_per_sec``.  Best-of — not mean — because
-    the quantity of interest is the engine's cost, and every source of
-    host noise (GC, scheduling) only ever adds time.
-    """
-    if repeats < 1:
-        raise ExperimentError(f"repeats must be >= 1, got {repeats}")
-    best: Optional[float] = None
-    events = now_ns = 0
-    for _ in range(repeats):
-        engine = make_engine(mode)
-        build(engine)
-        start = time.perf_counter()
-        engine.run()
-        elapsed = time.perf_counter() - start
-        events, now_ns = engine.events_dispatched, engine.now
-        if events == 0:
-            # The workload factories (workload_pingpong(...)) return the
-            # builder; passing the factory itself spawns nothing and
-            # would "measure" an empty engine.
-            raise ExperimentError(
-                "workload spawned no events - pass the builder "
-                "(e.g. workload_pingpong()), not the factory"
-            )
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return {
-        "engine_mode": mode,
-        "events": events,
-        "now_ns": now_ns,
-        "seconds": round(best, 6),
-        "events_per_sec": round(events / best, 1) if best > 0 else 0.0,
-    }
-
-
-def compare_modes(
-    build: WorkloadBuilder,
-    modes: Sequence[str] = ("reference", "fast"),
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Measure one workload under every mode and the fast/ref speedup.
-
-    Refuses (typed :class:`~repro.errors.ExperimentError`) when the
-    modes disagree on event count or final clock — a throughput
-    comparison is only meaningful between engines that provably did the
-    same work.
-    """
-    results = {mode: measure_workload(build, mode, repeats) for mode in modes}
-    baseline = results[modes[0]]
-    for mode in modes[1:]:
-        other = results[mode]
-        if (other["events"], other["now_ns"]) != (
-            baseline["events"],
-            baseline["now_ns"],
-        ):
-            raise ExperimentError(
-                f"engine modes diverged on the bench workload: "
-                f"{modes[0]} dispatched {baseline['events']} events to "
-                f"t={baseline['now_ns']}, {mode} dispatched "
-                f"{other['events']} to t={other['now_ns']}"
-            )
-    out: Dict[str, Any] = dict(results)
-    if "reference" in results and "fast" in results:
-        ref_s = results["reference"]["seconds"]
-        fast_s = results["fast"]["seconds"]
-        out["speedup"] = round(ref_s / fast_s, 2) if fast_s > 0 else 0.0
-    return out
-
-
-def measure_micro(
-    strategy: str,
-    num_blocks: int,
-    rounds: int,
-    mode: str,
-    repeats: int = 2,
-) -> Dict[str, Any]:
-    """Best-of-``repeats`` wall-clock for one Fig. 11 cell (the
-    micro-benchmark under ``strategy``) through the full device stack.
-
-    Same fields as :func:`measure_workload` plus the cell coordinates;
-    ``events``/``now_ns`` come from the run's own device engine.
-    """
-    # Late imports: repro.harness re-exports this module, so importing
-    # the runner at module load would cycle.
-    from repro.algorithms import MeanMicrobench
-    from repro.harness.runner import run as run_config
-
-    if repeats < 1:
-        raise ExperimentError(f"repeats must be >= 1, got {repeats}")
-    best: Optional[float] = None
-    events = now_ns = 0
-    for _ in range(repeats):
-        algorithm = MeanMicrobench(rounds=rounds)
-        start = time.perf_counter()
-        result = run_config(
-            algorithm,
-            strategy,
-            num_blocks,
-            keep_device=True,
-            engine_mode=mode,
-        )
-        elapsed = time.perf_counter() - start
-        assert result.device is not None
-        events = result.device.engine.events_dispatched
-        now_ns = result.device.engine.now
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return {
-        "engine_mode": mode,
-        "strategy": strategy,
-        "num_blocks": num_blocks,
-        "rounds": rounds,
-        "events": events,
-        "now_ns": now_ns,
-        "seconds": round(best, 6),
-        "events_per_sec": round(events / best, 1) if best > 0 else 0.0,
-    }
-
-
-def compare_micro(
-    strategy: str,
-    num_blocks: int,
-    rounds: int,
-    modes: Sequence[str] = ("reference", "fast"),
-    repeats: int = 2,
-) -> Dict[str, Any]:
-    """Per-mode :func:`measure_micro` plus the fast/ref speedup, with
-    the same did-the-same-work refusal as :func:`compare_modes`."""
-    results = {
-        mode: measure_micro(strategy, num_blocks, rounds, mode, repeats)
-        for mode in modes
-    }
-    baseline = results[modes[0]]
-    for mode in modes[1:]:
-        other = results[mode]
-        if (other["events"], other["now_ns"]) != (
-            baseline["events"],
-            baseline["now_ns"],
-        ):
-            raise ExperimentError(
-                f"engine modes diverged on {strategy}@{num_blocks}: "
-                f"{modes[0]} dispatched {baseline['events']} events to "
-                f"t={baseline['now_ns']}, {mode} dispatched "
-                f"{other['events']} to t={other['now_ns']}"
-            )
-    out: Dict[str, Any] = dict(results)
-    if "reference" in results and "fast" in results:
-        ref_s = results["reference"]["seconds"]
-        fast_s = results["fast"]["seconds"]
-        out["speedup"] = round(ref_s / fast_s, 2) if fast_s > 0 else 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The BENCH_*.json envelope
-# ---------------------------------------------------------------------------
 
 def render_bench(name: str, workloads: Dict[str, Dict[str, Any]]) -> str:
     """Render a bench report as versioned, deterministic JSON.
 
-    ``workloads`` maps workload name to a :func:`compare_modes` result
-    (or any dict of per-mode measurements).
+    ``workloads`` maps workload name to a dict of its measurements.
     """
     return dump_result(BENCH_KIND, {"bench": name, "workloads": workloads})
 

@@ -138,7 +138,6 @@ def run(
     probe=None,
     faults=None,
     barrier_deadline_ns: Optional[int] = None,
-    engine_mode: Optional[str] = None,
 ) -> RunResult:
     """Execute ``algorithm`` under ``strategy`` on a fresh device.
 
@@ -176,12 +175,6 @@ def run(
     nothing then — this function is single-attempt; recovery (retry,
     graceful degradation) lives in ``repro.harness.resilient`` (the
     :func:`repro.run` facade's ``resilient=`` path).
-
-    ``engine_mode`` selects the event core ("reference" or "fast" — see
-    ``docs/engine.md``); ``None`` defers to
-    :func:`repro.simcore.use_engine_mode` / ``REPRO_ENGINE_MODE`` and
-    defaults to the reference engine.  Both cores produce bit-identical
-    results; the fast core is just faster.
     """
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
@@ -197,7 +190,7 @@ def run(
     strategy.validate_grid(cfg, num_blocks)
 
     algorithm.reset()
-    device = Device(cfg, engine_mode=engine_mode, fuzzer=fuzzer, faults=faults)
+    device = Device(cfg, fuzzer=fuzzer, faults=faults)
     if probe is not None:
         device.probes.append(probe)
     host = Host(device)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import register_strategy
 from repro.sync.gpu_lockfree import GpuLockFreeSync
 from repro.sync.gpu_simple import GpuSimpleSync
@@ -50,14 +49,14 @@ class BrokenLockFreeNoScatter(GpuLockFreeSync):
             yield from ctx.spin_until(
                 arr_in,
                 lambda a=arr_in, g=goal: bool((a.data >= g).all()),
-                f"Arrayin all set (round {round_idx})", spec=WaitSpec(goal),
+                f"Arrayin all set (round {round_idx})",
             )
             yield from ctx.syncthreads()
             # BUG: the Arrayout scatter is missing here.
         yield from ctx.spin_until(  # repro: noqa SC008
             arr_out,
             lambda a=arr_out, b=bid, g=goal: a.data[b] >= g,
-            f"Arrayout[{bid}] (round {round_idx})", spec=WaitSpec(goal, lo=bid),
+            f"Arrayout[{bid}] (round {round_idx})",
         )
         yield from ctx.syncthreads()
 
@@ -80,7 +79,7 @@ class BrokenSimpleUndercount(GpuSimpleSync):
         goal = round_idx * n + 1  # BUG: not (round_idx + 1) * n  # repro: noqa SC005
         yield from ctx.atomic_add(mutex, 0, 1)
         yield from ctx.spin_until(
-            mutex, lambda: mutex.data[0] >= goal, f"g_mutex>={goal} (broken)", spec=WaitSpec(goal, lo=0)
+            mutex, lambda: mutex.data[0] >= goal, f"g_mutex>={goal} (broken)"
         )
         yield from ctx.syncthreads()
 

@@ -184,7 +184,8 @@ class Engine:
         if entry is not None:
             process._entry = None
             self._live -= 1
-            self._tombstone(entry)
+            entry[3] = None
+            entry[4] = None
         process.state = ProcessState.CANCELLED
         process.result = Cancelled(reason)
         process.finished_at = self.now
@@ -251,9 +252,9 @@ class Engine:
         """Timestamp of the next live scheduled wakeup, or ``None``.
 
         The step-driver API (:mod:`repro.cudaapi`) uses this with
-        ``run(until=...)`` to advance the clock one event at a time;
-        both engine modes implement it.  Tombstoned (cancelled) entries
-        at the head are pruned as a side effect.
+        ``run(until=...)`` to advance the clock one event at a time.
+        Tombstoned (cancelled) entries at the head are pruned as a side
+        effect.
         """
         heap = self._heap
         while heap and heap[0][3] is None:
@@ -269,22 +270,11 @@ class Engine:
 
     def _schedule(self, process: Process, when: int, value: Any) -> None:
         priority = self._tiebreak() if self._tiebreak is not None else 0.0
-        self._schedule_entry(process, when, priority, value)
-
-    def _schedule_entry(
-        self, process: Process, when: int, priority: float, value: Any
-    ) -> None:
-        """Insert a wakeup whose tiebreak priority was already drawn."""
         self._seq += 1
         entry: List[Any] = [when, priority, self._seq, process, value]
         process._entry = entry
         self._live += 1
         heapq.heappush(self._heap, entry)
-
-    def _tombstone(self, entry: List[Any]) -> None:
-        """Mark a pending entry dead in place (already uncounted)."""
-        entry[3] = None
-        entry[4] = None
 
     def _step(self, process: Process, value: Any) -> None:
         """Resume ``process`` with ``value`` and dispatch its next effect."""

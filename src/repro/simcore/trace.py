@@ -105,15 +105,15 @@ class Trace:
         """Drop all recorded spans."""
         self._spans.clear()
 
-    # -- canonical export (differential testing) ---------------------------
+    # -- canonical export (golden digests) ---------------------------------
 
     def to_tuples(self) -> List[Tuple[Any, ...]]:
         """Spans as plain tuples in recording order.
 
         ``(owner, phase, start, end, sorted_meta_items)`` — a canonical,
         order-preserving form two traces can be compared on directly.
-        The differential engine suite asserts byte-identical traces
-        between engine modes with exactly this.
+        The engine golden digests (``tests/simcore/test_engine_golden.py``)
+        hash exactly this.
         """
         return [
             (

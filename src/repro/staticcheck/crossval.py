@@ -12,9 +12,8 @@ Since the repair engine (:mod:`repro.staticcheck.repair`), the harness
 also closes the loop in the other direction: :func:`repair_mutant`
 drives each seeded mutant through ``fix_source`` and
 :func:`verify_repairs` proves the repaired classes are lint-clean,
-sanitizer-clean, and produce verified results under both the
-``reference`` and ``fast`` engines — every ``broken-*`` mutant must be
-*repairable back to passing*, not merely detectable.
+sanitizer-clean, and produce verified results — every ``broken-*``
+mutant must be *repairable back to passing*, not merely detectable.
 
 This is the linter's ground truth: if a future rule change stops
 flagging a mutant — or starts flagging a clean shipped strategy — the
@@ -37,7 +36,6 @@ __all__ = [
     "MUTANT_EXPECTATIONS",
     "MutantExpectation",
     "MutantRepair",
-    "SC009_FIXTURE",
     "crossval_mutant",
     "crossval_all",
     "expectation_links_ok",
@@ -145,30 +143,6 @@ def verify_expectations() -> List[str]:
 # Repair cross-validation: every mutant must be fixable back to passing
 # ---------------------------------------------------------------------------
 
-#: a kernel-shaped spin with no ``WaitSpec`` — the SC009 fixture.  The
-#: repair tests drive it through :func:`fix_source` and assert the
-#: engine inserts both the ``spec=`` argument and the import.
-SC009_FIXTURE = '''\
-"""SC009 crossval fixture: a spin site without a WaitSpec."""
-
-from repro.sync.base import SyncStrategy
-
-
-class FixtureBarrier(SyncStrategy):
-    name = "crossval-sc009-fixture"
-
-    def barrier(self, ctx, round_idx):
-        goal = round_idx + 1
-        yield from ctx.atomic_add(self._mutex, 0, 1)
-        yield from ctx.spin_until(
-            self._mutex,
-            lambda: self._mutex.data[0] >= goal,
-            f"g_mutex>={goal}",
-        )
-        yield from ctx.syncthreads()
-'''
-
-
 @dataclass(frozen=True)
 class MutantRepair:
     """One seeded mutant driven through the auto-repair engine."""
@@ -247,9 +221,8 @@ def verify_repairs(
     for the expected SC code, the repaired class must lint clean, the
     dynamic sanitizer (PR 1) must find nothing across ``schedules``
     fuzzed interleavings, and the repaired barrier must produce verified
-    results under both the ``reference`` and ``fast`` engines with
-    bit-identical virtual time (PR 6's differential guarantee).  Returns
-    human-readable problems; empty ⇒ the repair loop is closed.
+    results.  Returns human-readable problems; empty ⇒ the repair loop
+    is closed.
     """
     from repro.algorithms.microbench import MeanMicrobench
     from repro.harness.runner import run
@@ -286,27 +259,8 @@ def verify_repairs(
                 + ", ".join(sorted({f.kind for f in sanitized.findings}))
             )
             continue
-        totals = {}
-        for mode in ("reference", "fast"):
-            algo = MeanMicrobench(rounds=rounds, num_blocks_hint=num_blocks)
-            outcome = run(
-                algo,
-                repair.repaired_cls(),
-                num_blocks,
-                engine_mode=mode,
-            )
-            if outcome.verified is not True:
-                problems.append(
-                    f"{name}: repaired strategy fails verification "
-                    f"under the {mode} engine"
-                )
-            totals[mode] = outcome.total_ns
-        if (
-            len(totals) == 2
-            and totals["reference"] != totals["fast"]
-        ):
-            problems.append(
-                f"{name}: repaired strategy diverges across engines "
-                f"({totals['reference']} != {totals['fast']} ns)"
-            )
+        algo = MeanMicrobench(rounds=rounds, num_blocks_hint=num_blocks)
+        outcome = run(algo, repair.repaired_cls(), num_blocks)
+        if outcome.verified is not True:
+            problems.append(f"{name}: repaired strategy fails verification")
     return problems

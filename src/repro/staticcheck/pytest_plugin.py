@@ -79,7 +79,7 @@ def pytest_collection_finish(session: "pytest.Session") -> None:
             # outside the linter's remit.
             continue
         linted += 1
-        # Advice-severity findings (SC009, SC100) flag performance
+        # Advice-severity findings (SC100) flag performance
         # hazards, not bugs — they gate ``repro lint --strict`` and
         # ``--fix --check``, never the test session.
         failures.extend(

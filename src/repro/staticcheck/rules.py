@@ -1,4 +1,4 @@
-"""The paper-grounded rule catalog (SC001–SC009).
+"""The paper-grounded rule catalog (SC001–SC008).
 
 Each rule is a function over a :class:`FileContext` returning
 :class:`~repro.staticcheck.report.StaticFinding` objects.  Rules are
@@ -148,8 +148,7 @@ def _delete_lines_edit(
     )
 
 
-# -- spin-predicate shape analysis (shared by SC008's scatter fix and
-#    SC009) -----------------------------------------------------------------
+# -- spin-predicate shape analysis (SC008's scatter fix) -------------------
 
 
 @dataclass(frozen=True)
@@ -161,14 +160,6 @@ class _SpinShape:
     lo_src: Optional[str]  #: watched cell / slice start (None = whole)
     hi_src: Optional[str]  #: slice end (None = single cell / open)
     whole_array: bool  #: an ``(arr.data >= t).all()`` gather shape
-
-    def wait_spec_src(self) -> str:
-        parts = [self.threshold_src]
-        if self.lo_src is not None:
-            parts.append(f"lo={self.lo_src}")
-        if self.hi_src is not None:
-            parts.append(f"hi={self.hi_src}")
-        return f"WaitSpec({', '.join(parts)})"
 
 
 def _lambda_bindings(lam: ast.Lambda) -> Optional[Dict[str, ast.expr]]:
@@ -205,7 +196,7 @@ def _spin_wait_shape(call: ast.Call) -> Optional[_SpinShape]:
         lambda ...: (X.data[lo:hi] >= t).all()→ (t, lo, hi)
 
     Anything else — compound predicates, inverted comparisons, tuple
-    indices — returns None: the spin is not mechanically declarable.
+    indices — returns None: the spin is not a mechanical threshold wait.
     """
     array_arg = _call_arg(call, 0, "array")
     predicate = _call_arg(call, 1, "predicate")
@@ -270,7 +261,7 @@ def _spin_wait_shape(call: ast.Call) -> Optional[_SpinShape]:
             if hi_src is None:
                 return None
     elif isinstance(index, ast.Tuple):
-        return None  # multi-dimensional flags — WaitSpec is 1-D
+        return None  # multi-dimensional flags
     else:
         if whole:
             return None
@@ -1264,149 +1255,6 @@ def _sc008_scatter_fix(
     return ()
 
 
-# -- SC009: spin site without a WaitSpec declaration -------------------------
-
-
-def _has_wait_spec(call: ast.Call) -> bool:
-    """True when the spin already declares a spec (kw or positional)."""
-    if any(kw.arg == "spec" for kw in call.keywords):
-        return True
-    return len(call.args) >= 4  # (array, predicate, reason, spec)
-
-
-def _binds_wait_spec(module: ast.Module) -> bool:
-    """Is the name ``WaitSpec`` already bound at module level?"""
-    for node in ast.walk(module):
-        if isinstance(node, ast.ImportFrom):
-            if any((a.asname or a.name) == "WaitSpec" for a in node.names):
-                return True
-        elif isinstance(node, ast.Import):
-            if any(
-                (a.asname or a.name.split(".")[0]) == "WaitSpec"
-                for a in node.names
-            ):
-                return True
-    return False
-
-
-_WAIT_SPEC_IMPORT = "from repro.simcore.effects import WaitSpec\n"
-
-
-def _wait_spec_import_edit(ctx: FileContext) -> SpanEdit:
-    """Insert the WaitSpec import in isort-compatible position.
-
-    Sorted into the first-party ``repro`` from-import block when one
-    exists (so ruff's import sorting stays clean), else appended after
-    the last import, else after the module docstring.
-    """
-    target = "repro.simcore.effects"
-    insert_before: Optional[int] = None
-    last_repro_end: Optional[int] = None
-    last_import_end: Optional[int] = None
-    for stmt in ctx.module.body:
-        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            continue
-        last_import_end = stmt.end_lineno or stmt.lineno
-        if not (
-            isinstance(stmt, ast.ImportFrom)
-            and stmt.level == 0
-            and stmt.module is not None
-            and (stmt.module == "repro" or stmt.module.startswith("repro."))
-        ):
-            continue
-        last_repro_end = stmt.end_lineno or stmt.lineno
-        if insert_before is None and stmt.module > target:
-            insert_before = stmt.lineno
-    if insert_before is not None:
-        line = insert_before
-    elif last_repro_end is not None:
-        line = last_repro_end + 1
-    elif last_import_end is not None:
-        line = last_import_end + 1
-    else:
-        first = ctx.module.body[0] if ctx.module.body else None
-        docstring = (
-            isinstance(first, ast.Expr)
-            and isinstance(first.value, ast.Constant)
-            and isinstance(first.value.value, str)
-        )
-        if docstring and first is not None:
-            line = (first.end_lineno or first.lineno) + 1
-        else:
-            line = 1
-    return _insert_at(line, 0, _WAIT_SPEC_IMPORT)
-
-
-def _sc009_fix(
-    ctx: FileContext, call: ast.Call, shape: _SpinShape
-) -> Tuple[Fix, ...]:
-    """Append ``spec=WaitSpec(...)`` to the spin call (plus import)."""
-    ends = [
-        _node_span(arg) for arg in call.args
-    ] + [_node_span(kw.value) for kw in call.keywords]
-    spans = [s for s in ends if s is not None]
-    if not spans:
-        return ()
-    last = max(span[1] for span in spans)
-    edits: List[SpanEdit] = [
-        _insert_at(last[0], last[1], f", spec={shape.wait_spec_src()}")
-    ]
-    if not _binds_wait_spec(ctx.module):
-        edits.append(_wait_spec_import_edit(ctx))
-    return (
-        Fix(
-            "SC009",
-            f"declare the awaited condition: spec={shape.wait_spec_src()}",
-            tuple(edits),
-        ),
-    )
-
-
-def rule_sc009(ctx: FileContext) -> List[StaticFinding]:
-    """A mechanical threshold spin with no ``WaitSpec`` declaration.
-
-    The fast engine's indexed-waiter path (PR 6) wakes a spinning block
-    only when the exact awaited cells cross the declared threshold;
-    without a ``spec=WaitSpec(...)`` the engine falls back to
-    re-evaluating the Python predicate on every store — correct, but
-    the §5.3 flag-array fast path silently degrades.  Only spins whose
-    predicate is *provably* a threshold check are flagged (and those
-    are exactly the ones the fix can declare mechanically); compound
-    predicates are not WaitSpec-expressible and stay silent.
-    """
-    findings: List[StaticFinding] = []
-    for unit in ctx.units:
-        if unit.kind not in ("barrier-method", "kernel"):
-            continue
-        for node in _walk_scoped(unit.func):
-            if not (
-                isinstance(node, ast.Call)
-                and call_tail(node) == "spin_until"
-            ):
-                continue
-            if _has_wait_spec(node):
-                continue
-            shape = _spin_wait_shape(node)
-            if shape is None:
-                continue
-            findings.append(
-                StaticFinding(
-                    code="SC009",
-                    message=(
-                        f"threshold spin on '{shape.array_src}' carries "
-                        "no WaitSpec; the fast engine degrades to "
-                        "re-evaluating the predicate on every store "
-                        f"(declare spec={shape.wait_spec_src()})"
-                    ),
-                    file=ctx.path,
-                    line=node.lineno,
-                    unit=unit.qualname,
-                    fixes=_sc009_fix(ctx, node, shape),
-                )
-            )
-    return findings
-
-
 #: rule registry, in code order (docs and the engine iterate this).
 RULES: Dict[str, Callable[[FileContext], List[StaticFinding]]] = {
     "SC001": rule_sc001,
@@ -1417,7 +1265,6 @@ RULES: Dict[str, Callable[[FileContext], List[StaticFinding]]] = {
     "SC006": rule_sc006,
     "SC007": rule_sc007,
     "SC008": rule_sc008,
-    "SC009": rule_sc009,
 }
 
 

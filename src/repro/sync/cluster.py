@@ -32,7 +32,6 @@ from typing import Any, Dict, Generator, List, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SyncProtocolError
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,7 +131,6 @@ class GpuClusterTreeSync(SyncStrategy):
                 arrive,
                 lambda a=arrive, t=local_goal: bool(a.data[0] >= t),
                 f"domain {domain} full (round {round_idx})",
-                spec=WaitSpec(local_goal, lo=0),
             )
             glob = self._global
             yield from ctx.atomic_add(glob, 0, 1)
@@ -141,7 +139,6 @@ class GpuClusterTreeSync(SyncStrategy):
                 glob,
                 lambda g=glob, t=global_goal: bool(g.data[0] >= t),
                 f"all domains arrived (round {round_idx})",
-                spec=WaitSpec(global_goal, lo=0),
             )
             yield from ctx.gwrite(release, 0, round_idx + 1)
         else:
@@ -152,7 +149,6 @@ class GpuClusterTreeSync(SyncStrategy):
                 release,
                 lambda r=release, t=round_idx + 1: bool(r.data[0] >= t),
                 f"domain {domain} release (round {round_idx})",
-                spec=WaitSpec(round_idx + 1, lo=0),
             )
         yield from ctx.syncthreads()
         ctx.record("sync", start, round=round_idx, strategy=self.name)

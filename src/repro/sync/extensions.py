@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.errors import SyncProtocolError
 from repro.model.calibration import CalibratedTimings, default_timings
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,7 +138,7 @@ class GpuSenseReversalSync(SyncStrategy):
             yield from ctx.spin_until(
                 self._sense,
                 lambda s=self._sense, e=epoch: s.data[0] >= e,
-                f"sense epoch {epoch}", spec=WaitSpec(epoch, lo=0),
+                f"sense epoch {epoch}",
             )
         yield from ctx.syncthreads()
         ctx.record("sync", start, round=round_idx, strategy=self.name)

@@ -29,7 +29,6 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SyncProtocolError
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,7 +88,6 @@ class GpuSimpleSync(SyncStrategy):
                 mutex,
                 lambda: mutex.data[0] >= goal,
                 f"g_mutex>={goal}",
-                spec=WaitSpec(goal, lo=0),
             )
         yield from ctx.syncthreads()
         ctx.record("sync", start, round=round_idx, strategy=self.name)

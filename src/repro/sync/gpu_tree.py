@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import SyncProtocolError
 from repro.model.barrier_costs import tree_level_plan
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,7 +128,6 @@ class GpuTreeSync(SyncStrategy):
                 mutex,
                 lambda m=mutex, g=group, t=goal: m.data[g] >= t,
                 f"L{level} group {group} full (round {round_idx})",
-                spec=WaitSpec(goal, lo=group),
             )
 
         # Everyone waits on the top-level mutex.
@@ -139,7 +137,6 @@ class GpuTreeSync(SyncStrategy):
             top,
             lambda m=top, t=top_goal: m.data[0] >= t,
             f"top mutex (round {round_idx})",
-            spec=WaitSpec(top_goal, lo=0),
         )
         yield from ctx.syncthreads()
         ctx.record("sync", start, round=round_idx, strategy=self.name)

@@ -1,8 +1,5 @@
 """Tests for process cancellation in the engine."""
 
-
-import pytest
-
 from repro.simcore import (
     Acquire,
     Cancelled,
@@ -15,7 +12,6 @@ from repro.simcore import (
     Signal,
     Spawn,
     WaitUntil,
-    make_engine,
 )
 
 
@@ -286,28 +282,23 @@ def test_cancelling_a_join_blocked_process_detaches_it():
 
 
 # ---------------------------------------------------------------------------
-# O(1) tombstoned cancellation (both engines)
+# O(1) tombstoned cancellation
 # ---------------------------------------------------------------------------
 #
 # Engine.cancel used to leave the cancelled wakeup as a dead tuple in
-# the heap, visible to nothing but still popped and compared.  Both
-# engines now tombstone the entry in place; these regressions pin the
+# the heap, visible to nothing but still popped and compared.  The
+# engine now tombstones the entry in place; these regressions pin the
 # observable consequences — cancel-then-reschedule at the *same*
 # timestamp, and pending_events counting live wakeups only.
 
-@pytest.fixture(params=["reference", "fast"])
-def any_engine(request):
-    return make_engine(request.param)
-
-
-def test_cancel_then_respawn_at_same_timestamp(any_engine):
+def test_cancel_then_respawn_at_same_timestamp():
     """The tombstone must not shadow a replacement at the same time.
 
     Kill a sleeper mid-flight and spawn its replacement scheduled at
     the exact timestamp the stale wakeup occupied; the replacement must
     dispatch there, once, with no interference from the dead entry.
     """
-    eng = any_engine
+    eng = Engine()
     ran = []
 
     def sleeper():
@@ -331,9 +322,9 @@ def test_cancel_then_respawn_at_same_timestamp(any_engine):
     assert victim.state == ProcessState.CANCELLED
 
 
-def test_pending_events_ignores_tombstones(any_engine):
+def test_pending_events_ignores_tombstones():
     """pending_events counts live wakeups, not dead heap entries."""
-    eng = any_engine
+    eng = Engine()
     observed = []
 
     def sleeper():
@@ -359,9 +350,9 @@ def test_pending_events_ignores_tombstones(any_engine):
     assert survivor.state == ProcessState.DONE
 
 
-def test_cancel_storm_then_full_drain(any_engine):
+def test_cancel_storm_then_full_drain():
     """Hundreds of tombstones at one timestamp never block the queue."""
-    eng = any_engine
+    eng = Engine()
     ran = []
 
     def sleeper(i):

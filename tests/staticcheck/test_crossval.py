@@ -130,5 +130,5 @@ def test_repair_restores_the_strategy_registry():
 
 def test_verify_repairs_closes_the_loop():
     """Every mutant repairs back to passing: lint-clean, sanitizer-clean
-    (PR 1), and bit-identical under both engines (PR 6)."""
+    and verified."""
     assert verify_repairs(schedules=4) == []

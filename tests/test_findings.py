@@ -14,7 +14,7 @@ from repro.findings import (
 
 
 def test_registry_covers_both_origins():
-    assert len(STATIC_CODES) == 10
+    assert len(STATIC_CODES) == 9  # SC001-SC008 and SC100
     assert len(DYNAMIC_CODES) == 8
     assert set(STATIC_CODES) | set(DYNAMIC_CODES) == set(FINDING_CODES)
     for code in STATIC_CODES:
