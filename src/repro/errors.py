@@ -10,6 +10,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "SimulationError",
+    "SpansNotKeptError",
     "DeadlockError",
     "ProcessError",
     "KernelTimeoutError",
@@ -35,6 +36,15 @@ class ReproError(Exception):
 
 class SimulationError(ReproError):
     """An invariant of the discrete-event engine was violated."""
+
+
+class SpansNotKeptError(ReproError):
+    """A span query reached a trace that keeps only per-phase totals.
+
+    Runs keep individual spans only when their device is kept
+    (``run(..., keep_device=True)``, i.e. ``repro.run(trace=True)``);
+    every other run records running totals per phase and nothing else.
+    """
 
 
 class DeadlockError(SimulationError):

@@ -69,6 +69,8 @@ class BlockCtx:
             topo.domain_of(block_id, num_blocks) if topo.num_domains > 1 else 0
         )
         self._crossing = topo if topo.crossing_ns > 0 else None
+        # Totals-only traces drop span metadata, so it is not built.
+        self._keep_spans = device.trace.keep_spans
 
     def _remote_ns(self, array: GlobalArray) -> int:
         """Interconnect latency for touching ``array`` from this block."""
@@ -111,7 +113,10 @@ class BlockCtx:
 
     def record(self, phase: str, start: int, **meta: Any) -> None:
         """Record a span from ``start`` to now under this block's name."""
-        self.trace.add(self.owner, phase, start, self.now, **meta)
+        if self._keep_spans:
+            self.trace.add(self.owner, phase, start, self.now, **meta)
+        else:
+            self.trace.add(self.owner, phase, start, self.now)
 
     # -- computation -----------------------------------------------------------
 
@@ -188,7 +193,10 @@ class BlockCtx:
             array.store(index, old + value)
         self.device.atomics.ops += 1
         yield Release(unit)
-        self.record("atomic", start, cell=f"{array.name}[{flat}]", queued=queued)
+        if self._keep_spans:
+            self.record("atomic", start, cell=f"{array.name}[{flat}]", queued=queued)
+        else:
+            self.trace.add(self.owner, "atomic", start, self.now)
         return old
 
     def spin_until(
@@ -217,7 +225,10 @@ class BlockCtx:
         yield Delay(self.timings.spin_read_ns + self._remote_ns(array))
         if self.device.probes:
             self.device.notify_access(self, array, None, "spin")
-        self.record("spin", start, on=array.name, polls=polls)
+        if self._keep_spans:
+            self.record("spin", start, on=array.name, polls=polls)
+        else:
+            self.trace.add(self.owner, "spin", start, self.now)
         return polls
 
     # -- shared memory -----------------------------------------------------------

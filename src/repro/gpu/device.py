@@ -25,6 +25,11 @@ class Device:
     engine, global memory, the atomic-unit registry, the block scheduler
     and the span trace.  Experiments create a fresh device per run so
     measurements never bleed into each other.
+
+    ``keep_spans=False`` gives the device a totals-only
+    :class:`~repro.simcore.trace.Trace` (per-phase sums, no span
+    objects); the harness runner uses it for every run whose device it
+    does not hand back.
     """
 
     def __init__(
@@ -35,6 +40,7 @@ class Device:
         device_wide_atomics: bool = False,
         fuzzer=None,
         faults=None,
+        keep_spans: bool = True,
     ):
         self.config = config or DeviceConfig()
         #: the simulation engine — private by default; pass a shared one
@@ -47,7 +53,7 @@ class Device:
         self.memory = GlobalMemory(self.engine, self.config.global_mem_bytes)
         self.atomics = AtomicRegistry(device_wide=device_wide_atomics)
         self.scheduler = BlockScheduler(self.config, fuzz=fuzzer)
-        self.trace = Trace()
+        self.trace = Trace(keep_spans=keep_spans)
         #: observers of device-side execution (barrier rounds, global
         #: memory traffic); see :class:`repro.sanitize.SanitizerProbe`.
         #: Kept empty in normal runs so instrumentation costs nothing.

@@ -150,6 +150,10 @@ def run(
     before running and, unless ``verify=False`` or the strategy is the
     ``null`` timing stub, verified afterwards.
 
+    ``keep_device`` returns the device on the result.  Only then does
+    its trace keep individual spans; every other run records per-phase
+    totals only, which is all the result's ``trace_*_ns`` fields need.
+
     ``jitter_pct`` adds hardware-style run-to-run variability: each
     block's round cost is scaled by a lognormal factor with that
     relative spread, deterministically derived from ``jitter_seed`` (so
@@ -190,7 +194,9 @@ def run(
     strategy.validate_grid(cfg, num_blocks)
 
     algorithm.reset()
-    device = Device(cfg, fuzzer=fuzzer, faults=faults)
+    # Spans are reachable only through a kept device, so only then are
+    # they recorded; otherwise the trace keeps per-phase totals.
+    device = Device(cfg, fuzzer=fuzzer, faults=faults, keep_spans=keep_device)
     if probe is not None:
         device.probes.append(probe)
     host = Host(device)

@@ -1,11 +1,15 @@
 """Span tracing for phase accounting.
 
 The harness reproduces the paper's §7.3 methodology (synchronization time
-= total kernel time − computation-only time), but the device model also
-records *spans* — ``(owner, phase, start, end)`` intervals — so breakdowns
-(Fig. 15 / Table 1) can be cross-checked structurally and tests can assert
-ordering invariants ("no block enters round i+1 before every block left
-round i").
+= total kernel time − computation-only time), which needs only per-phase
+totals.  Every :class:`Trace` keeps those as running sums.  A trace may
+also keep the *spans* themselves — ``(owner, phase, start, end)``
+intervals — so breakdowns (Fig. 15 / Table 1) can be cross-checked
+structurally and tests can assert ordering invariants ("no block enters
+round i+1 before every block left round i").  Spans cost an object per
+interval, so a trace keeps them only when asked to (``keep_spans``); a
+totals-only trace refuses every span query with
+:class:`~repro.errors.SpansNotKeptError`.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.errors import SpansNotKeptError
+
 __all__ = ["Span", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One traced interval of virtual time."""
 
@@ -39,10 +45,25 @@ class Span:
 
 
 class Trace:
-    """An append-only collection of spans with simple aggregation helpers."""
+    """Running per-phase totals, plus the spans themselves if kept.
 
-    def __init__(self) -> None:
-        self._spans: List[Span] = []
+    ``keep_spans=False`` makes a totals-only trace: :meth:`add` updates
+    one sum per phase, and :meth:`total` (without ``owner``),
+    :meth:`by_phase` and :meth:`phases` answer from those sums.  Queries
+    that need individual spans raise
+    :class:`~repro.errors.SpansNotKeptError` instead of answering from
+    an empty list.
+    """
+
+    def __init__(self, *, keep_spans: bool = True) -> None:
+        #: phase -> summed duration (ns), in first-appearance order.
+        self._totals: Dict[str, int] = {}
+        self._spans: Optional[List[Span]] = [] if keep_spans else None
+
+    @property
+    def keep_spans(self) -> bool:
+        """True when this trace retains individual spans."""
+        return self._spans is not None
 
     def add(
         self,
@@ -51,23 +72,42 @@ class Trace:
         start: int,
         end: int,
         **meta: Any,
-    ) -> Span:
-        """Record a span and return it."""
-        span = Span(owner, phase, start, end, meta or None)
-        self._spans.append(span)
+    ) -> Optional[Span]:
+        """Record an interval; returns its span, or None if spans are off."""
+        spans = self._spans
+        if spans is None:
+            if end < start:
+                raise ValueError(
+                    f"span ends before it starts: {owner} {phase} [{start}, {end}]"
+                )
+            span = None
+        else:
+            span = Span(owner, phase, start, end, meta or None)  # validates
+            spans.append(span)
+        totals = self._totals
+        totals[phase] = totals.get(phase, 0) + end - start
         return span
 
+    def _kept(self) -> List[Span]:
+        """The retained spans; refuses on a totals-only trace."""
+        if self._spans is None:
+            raise SpansNotKeptError(
+                "this trace keeps per-phase totals only; span queries need "
+                "a run with keep_device=True (repro.run(trace=True))"
+            )
+        return self._spans
+
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
+        return iter(self._kept())
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._kept())
 
     def spans(
         self, phase: Optional[str] = None, owner: Optional[str] = None
     ) -> List[Span]:
         """Spans filtered by phase and/or owner."""
-        out = self._spans
+        out = self._kept()
         if phase is not None:
             out = [s for s in out if s.phase == phase]
         if owner is not None:
@@ -75,35 +115,53 @@ class Trace:
         return list(out)
 
     def total(self, phase: Optional[str] = None, owner: Optional[str] = None) -> int:
-        """Sum of durations over the filtered spans (ns)."""
-        return sum(s.duration for s in self.spans(phase, owner))
+        """Summed duration of ``phase`` (all phases if None), in ns.
+
+        Filtering by ``owner`` needs the spans themselves.
+        """
+        if owner is not None:
+            return sum(s.duration for s in self.spans(phase, owner))
+        if phase is None:
+            return sum(self._totals.values())
+        return self._totals.get(phase, 0)
 
     def phases(self) -> List[str]:
         """Distinct phase names in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for s in self._spans:
-            seen.setdefault(s.phase, None)
-        return list(seen)
+        return list(self._totals)
 
     def by_phase(self) -> Dict[str, int]:
         """Total duration per phase (ns)."""
-        totals: Dict[str, int] = {}
-        for s in self._spans:
-            totals[s.phase] = totals.get(s.phase, 0) + s.duration
-        return totals
+        return dict(self._totals)
 
     def merge(self, others: Iterable["Trace"]) -> "Trace":
-        """Return a new trace containing this trace's spans plus ``others``'."""
-        merged = Trace()
-        merged._spans.extend(self._spans)
-        for other in others:
-            merged._spans.extend(other._spans)
-        merged._spans.sort(key=lambda s: (s.start, s.end))
+        """Return a new trace combining this trace with ``others``.
+
+        Spans are merged (sorted by start) only when every input kept
+        them; otherwise the result is totals-only, with summed totals.
+        """
+        traces = [self, *others]
+        if all(t.keep_spans for t in traces):
+            spans = sorted(
+                (s for t in traces for s in t._kept()), key=lambda s: (s.start, s.end)
+            )
+            merged = Trace()
+            merged._spans = spans
+            totals = merged._totals
+            for s in spans:
+                totals[s.phase] = totals.get(s.phase, 0) + s.duration
+            return merged
+        merged = Trace(keep_spans=False)
+        totals = merged._totals
+        for t in traces:
+            for phase, ns in t._totals.items():
+                totals[phase] = totals.get(phase, 0) + ns
         return merged
 
     def clear(self) -> None:
-        """Drop all recorded spans."""
-        self._spans.clear()
+        """Drop all recorded spans and totals."""
+        self._totals.clear()
+        if self._spans is not None:
+            self._spans.clear()
 
     # -- canonical export (golden digests) ---------------------------------
 
@@ -123,7 +181,7 @@ class Trace:
                 s.end,
                 tuple(sorted(s.meta.items())) if s.meta else (),
             )
-            for s in self._spans
+            for s in self._kept()
         ]
 
     def digest(self) -> str:
