@@ -17,7 +17,7 @@ from typing import Generator
 import numpy as np
 
 from repro import BitonicSort, FFT, SmithWaterman, run
-from repro.harness.autotune import probe_barrier_cost
+from repro.harness.experiments import probe_sync_ns
 from repro.harness.report import format_table
 from repro.sync.base import SyncStrategy, register_strategy
 
@@ -74,18 +74,24 @@ def main() -> None:
         print(f"  {algo.name:8s} ok ({result.rounds} rounds)")
 
     # -- 2. measure against the bundled strategies ---------------------------
-    rows = []
-    for strat in (
-        "gpu-ticket",
-        "gpu-simple",
-        "gpu-sense-reversal",
-        "gpu-tree-2",
-        "gpu-dissemination",
-        "gpu-lockfree",
-    ):
-        cost = probe_barrier_cost(strat, 30)
-        rows.append((strat, cost))
-    rows.sort(key=lambda r: r[1])
+    # The probe runs in this process, so it sees the strategy registered
+    # above; sync time / rounds is the per-round barrier cost.
+    rounds = 8
+    _, sync = probe_sync_ns(
+        (
+            "gpu-ticket",
+            "gpu-simple",
+            "gpu-sense-reversal",
+            "gpu-tree-2",
+            "gpu-dissemination",
+            "gpu-lockfree",
+        ),
+        30,
+        rounds,
+    )
+    rows = sorted(
+        ((strat, ns / rounds) for strat, ns in sync.items()), key=lambda r: r[1]
+    )
     print()
     print(
         format_table(

@@ -8,15 +8,12 @@
   methodology (sync time = total − compute-only run).
 * :mod:`repro.harness.experiments` — drivers for Table 1, Fig. 11,
   Fig. 13a–c, Fig. 14a–c, Fig. 15, the headline speedups and the
-  model-validation study.
-* :mod:`repro.harness.perf` — the schema-versioned ``BENCH_*.json``
-  protocol.
+  model-validation study, plus the sync-cost probe
+  (``probe_sync_ns``) every model check measures with.
 * :mod:`repro.harness.report` — plain-text table/series rendering.
 * :mod:`repro.harness.cli` — ``python -m repro.harness <experiment>``.
 """
 
-from repro.harness.autotune import TuneResult, autotune, probe_barrier_cost
-from repro.harness.perf import load_bench, render_bench
 from repro.harness.phases import Breakdown, breakdown, compute_only, sync_time_ns
 from repro.harness.resilient import DegradePolicy, RetryPolicy
 from repro.harness.runner import RaceMonitor, RecoveryEvent, RunResult, run
@@ -30,13 +27,8 @@ __all__ = [
     "RetryPolicy",
     "RunResult",
     "RunStatistics",
-    "TuneResult",
-    "autotune",
     "breakdown",
     "compute_only",
-    "load_bench",
-    "probe_barrier_cost",
-    "render_bench",
     "repeat_run",
     "run",
     "summarize",

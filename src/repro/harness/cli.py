@@ -135,34 +135,29 @@ def _fig13_14(args: argparse.Namespace, sync: bool, executor=None, cfg=None) -> 
     return "\n\n".join(chunks)
 
 
-def _extensions_study(args: argparse.Namespace, cfg=None) -> str:
+def _extensions_study(args: argparse.Namespace, executor=None, cfg=None) -> str:
     """Compare all six device barriers on the micro-benchmark."""
-    from repro.algorithms import MeanMicrobench
-    from repro.harness.phases import compute_only, sync_time_ns
-    from repro.harness.runner import run
-
     cfg = cfg or get_preset("gtx280")
     limit = cfg.topology.max_co_resident_blocks(cfg)
     rounds, blocks = min(args.rounds, 200), min(30, limit)
-    micro = MeanMicrobench(rounds=rounds, num_blocks_hint=blocks)
-    null = compute_only(micro, blocks, config=cfg)
-    rows = []
-    for strat in (
-        "gpu-simple",
-        "gpu-sense-reversal",
-        "gpu-tree-2",
-        "gpu-tree-3",
-        "gpu-dissemination",
-        "gpu-lockfree",
-    ):
-        result = run(micro, strat, blocks, config=cfg)
-        rows.append(
-            (strat, sync_time_ns(result, null) / rounds)
-        )
-    rows.sort(key=lambda r: r[1])
+    _, sync = experiments.probe_sync_ns(
+        (
+            "gpu-simple",
+            "gpu-sense-reversal",
+            "gpu-tree-2",
+            "gpu-tree-3",
+            "gpu-dissemination",
+            "gpu-lockfree",
+        ),
+        blocks,
+        rounds,
+        cfg,
+        executor=executor,
+    )
+    rows = sorted(sync.items(), key=lambda r: r[1])
     return report.format_table(
         ["barrier", "per-round cost (µs)"],
-        [[name, f"{cost/1e3:.2f}"] for name, cost in rows],
+        [[name, f"{ns / rounds / 1e3:.2f}"] for name, ns in rows],
         title=f"Extension barriers — micro, {blocks} blocks",
     )
 
@@ -197,8 +192,11 @@ SANITIZE_ALL = (
 )
 
 
-def _sanitize(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, bool]":
-    """Run the sanitizer; returns (rendered report, any findings)."""
+def _sanitize(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, int]":
+    """Run the sanitizer; returns (rendered report, exit code).
+
+    Exits 1 when any finding survives.
+    """
     from repro.errors import ConfigError
     from repro.sanitize import DEFAULT_SEED, sanitize_run
 
@@ -222,7 +220,7 @@ def _sanitize(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, 
             raise SystemExit(f"sanitize: {exc}")
         chunks.append(rep.render())
         dirty = dirty or not rep.clean
-    return "\n\n".join(chunks), dirty
+    return "\n\n".join(chunks), int(dirty)
 
 
 #: strategies ``chaos --strategy all`` sweeps: every device barrier that
@@ -236,8 +234,11 @@ CHAOS_ALL = (
 )
 
 
-def _chaos(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, bool]":
-    """Run chaos campaigns; returns (rendered reports, any unexplained)."""
+def _chaos(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, int]":
+    """Run chaos campaigns; returns (rendered reports, exit code).
+
+    Exits 1 when any run's fate is not explained by its fault plan.
+    """
     from repro.errors import ConfigError
     from repro.faults import chaos_campaign
     from repro.sanitize import DEFAULT_SEED
@@ -262,7 +263,7 @@ def _chaos(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, boo
             raise SystemExit(f"chaos: {exc}")
         chunks.append(rep.render())
         dirty = dirty or not rep.clean
-    return "\n\n".join(chunks), dirty
+    return "\n\n".join(chunks), int(dirty)
 
 
 def _lint(args: argparse.Namespace) -> "tuple[str, int]":
@@ -338,6 +339,27 @@ def _lint_fix(args: argparse.Namespace) -> "tuple[str, int]":
     if args.check and changed:
         return text, 1
     return text, 0
+
+
+def _tune(args: argparse.Namespace, executor=None) -> "tuple[str, int]":
+    """Tune one workload; returns (rendered report, exit code)."""
+    from repro.errors import ConfigError
+    from repro.model.tune import tune_workload
+
+    try:
+        rep = tune_workload(
+            args.rounds,
+            args.compute_ns,
+            args.blocks,
+            args.strategy,
+            args.preset,
+            measure=args.measure,
+            executor=executor,
+        )
+    except ConfigError as exc:
+        raise SystemExit(f"tune: {exc}")
+    text = rep.to_json() if args.format == "json" else rep.render()
+    return text, rep.exit_code(strict=args.strict)
 
 
 def _epilogue(want: str, started: float, cache=None) -> None:
@@ -846,7 +868,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
             )
         )
     if want in ("extensions", "all"):
-        sections.append(_extensions_study(args, cfg=preset_cfg))
+        sections.append(
+            _extensions_study(args, executor=executor, cfg=preset_cfg)
+        )
     if want in ("composition", "all"):
         from repro.harness.tracestats import composition_study, render_composition
 
@@ -866,6 +890,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
             args.report_out, config=preset_cfg, micro_rounds=args.rounds
         )
         sections.append(f"wrote reproduction report to {path}")
+    code = 0
     if want == "diff":
         if not args.baseline or not args.current:
             parser.error("diff requires --baseline and --current")
@@ -880,61 +905,27 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 f"{len(drifts)} drifted point(s):\n"
                 + "\n".join(f"  {d}" for d in drifts)
             )
-            print("\n\n".join(sections))
-            _epilogue(want, started, cache)
-            return 1
-        sections.append("no drift: sweeps are identical within tolerance")
+            code = 1
+        else:
+            sections.append("no drift: sweeps are identical within tolerance")
     if want == "sanitize":
-        text, dirty = _sanitize(args, executor=executor, cfg=preset_cfg)
+        text, code = _sanitize(args, executor=executor, cfg=preset_cfg)
         sections.append(text)
-        if dirty:
-            print("\n\n".join(sections))
-            _epilogue(want, started, cache)
-            return 1
     if want == "chaos":
-        text, dirty = _chaos(args, executor=executor, cfg=preset_cfg)
+        text, code = _chaos(args, executor=executor, cfg=preset_cfg)
         sections.append(text)
-        if dirty:
-            print("\n\n".join(sections))
-            _epilogue(want, started, cache)
-            return 1
     if want == "lint":
         text, code = _lint(args)
         if text:
             sections.append(text)
-        if code:
-            if sections:
-                print("\n\n".join(sections))
-            _epilogue(want, started, cache)
-            return code
     if want == "tune":
-        from repro.errors import ConfigError
-        from repro.model.tune import tune_workload
+        text, code = _tune(args, executor=executor)
+        sections.append(text)
 
-        try:
-            tune_rep = tune_workload(
-                args.rounds,
-                args.compute_ns,
-                args.blocks,
-                args.strategy,
-                args.preset,
-                measure=args.measure,
-                executor=executor,
-            )
-        except ConfigError as exc:
-            raise SystemExit(f"tune: {exc}")
-        sections.append(
-            tune_rep.to_json() if args.format == "json" else tune_rep.render()
-        )
-        code = tune_rep.exit_code(strict=args.strict)
-        if code:
-            print("\n\n".join(sections))
-            _epilogue(want, started, cache)
-            return code
-
-    print("\n\n".join(sections))
+    if sections or not code:
+        print("\n\n".join(sections))
     _epilogue(want, started, cache)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

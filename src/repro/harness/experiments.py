@@ -22,22 +22,19 @@ remainder — the resumed result is bit-identical to an uninterrupted run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms import (
     BitonicSort,
     FFT,
-    MeanMicrobench,
     RoundAlgorithm,
     SmithWaterman,
 )
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
-from repro.harness.phases import Breakdown, compute_only, sync_time_ns
-from repro.harness.runner import run
-from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
-from repro.parallel import Executor
+from repro.harness.phases import Breakdown
+from repro.parallel import BatchStats, Executor
 from repro.serialization import (
     device_config_to_dict,
     dump_result,
@@ -53,6 +50,7 @@ __all__ = [
     "make_algorithm",
     "table1",
     "fig11",
+    "probe_sync_ns",
     "algorithm_sweep",
     "fig13",
     "fig14",
@@ -114,35 +112,21 @@ def _totals(
     executor: Optional[Executor],
     payloads: List[Dict[str, Any]],
     resume: Optional[str] = None,
-) -> List[int]:
+) -> Tuple[List[int], BatchStats]:
     """Run every cell through the (possibly parallel, cached) executor.
 
     With ``executor=None`` a throwaway inline executor runs the same
     worker functions serially in-process — the reference path parallel
     runs must reproduce bit-for-bit.  ``resume`` replays a journaled
     earlier invocation of the same batch (see
-    :meth:`repro.parallel.Executor.map`); the batch's provenance stays
-    readable on the executor's ``last_batch`` until the next call.
+    :meth:`repro.parallel.Executor.map`).  Returns the totals and the
+    batch's partial-failure provenance.
     """
     ex = executor if executor is not None else Executor(jobs=1)
     totals = ex.map("run-total", payloads, resume=resume)
-    _totals_last_batch[0] = ex.last_batch
-    return totals
-
-
-#: provenance of the most recent :func:`_totals` batch; drivers stamp it
-#: onto their sweep right after the map call returns.
-_totals_last_batch: List[Any] = [None]
-
-
-def _stamp(sweep: "SweepResult") -> "SweepResult":
-    """Copy the last batch's partial-failure provenance onto a sweep."""
-    stats = _totals_last_batch[0]
-    if stats is not None:
-        sweep.retries = stats.retries
-        sweep.quarantined = list(stats.quarantined)
-        sweep.resumed_from = stats.resumed_from
-    return sweep
+    stats = ex.last_batch
+    assert stats is not None  # every map() call records its batch
+    return totals, stats
 
 
 @dataclass
@@ -244,6 +228,37 @@ class SweepResult:
         )
 
 
+def _sweep(
+    name: str,
+    spec: Dict[str, Any],
+    xs: List[int],
+    strategies: Sequence[str],
+    config: DeviceConfig,
+    executor: Optional[Executor],
+    resume: Optional[str],
+) -> SweepResult:
+    """Run ``null`` plus every strategy at every block count as one batch."""
+    device = device_config_to_dict(config)
+    payloads = [
+        _cell(spec, strat, n, device)
+        for strat in ("null", *strategies)
+        for n in xs
+    ]
+    totals, stats = _totals(executor, payloads, resume)
+    sweep = SweepResult(
+        algorithm=name,
+        blocks=xs,
+        nulls=totals[: len(xs)],
+        retries=stats.retries,
+        quarantined=list(stats.quarantined),
+        resumed_from=stats.resumed_from,
+    )
+    for j, strat in enumerate(strategies):
+        start = len(xs) * (j + 1)
+        sweep.totals[strat] = totals[start : start + len(xs)]
+    return sweep
+
+
 # ---------------------------------------------------------------------------
 # Table 1 — % of time spent on inter-block communication (CPU implicit)
 # ---------------------------------------------------------------------------
@@ -266,7 +281,7 @@ def table1(
         spec = _algorithm_spec(name)
         payloads.append(_cell(spec, "null", num_blocks, device))
         payloads.append(_cell(spec, "cpu-implicit", num_blocks, device))
-    totals = _totals(executor, payloads, resume)
+    totals, _ = _totals(executor, payloads, resume)
     out: Dict[str, Breakdown] = {}
     for i, name in enumerate(algorithms):
         null, total = totals[2 * i], totals[2 * i + 1]
@@ -299,18 +314,37 @@ def fig11(
     """
     cfg = config or get_preset("gtx280")
     xs = list(blocks) if blocks is not None else list(range(1, cfg.num_sms + 1))
-    device = device_config_to_dict(cfg)
     spec = {"name": "micro", "rounds": rounds, "num_blocks_hint": max(xs)}
-    payloads = [_cell(spec, "null", n, device) for n in xs]
-    for strat in strategies:
-        payloads.extend(_cell(spec, strat, n, device) for n in xs)
-    totals = _totals(executor, payloads, resume)
-    sweep = SweepResult(algorithm="micro", blocks=xs)
-    sweep.nulls = totals[: len(xs)]
-    for j, strat in enumerate(strategies):
-        start = len(xs) * (j + 1)
-        sweep.totals[strat] = totals[start : start + len(xs)]
-    return _stamp(sweep)
+    return _sweep("micro", spec, xs, strategies, cfg, executor, resume)
+
+
+def probe_sync_ns(
+    strategies: Sequence[str],
+    num_blocks: int,
+    rounds: int,
+    config: Optional[DeviceConfig] = None,
+    *,
+    executor: Optional[Executor] = None,
+) -> Tuple[int, Dict[str, int]]:
+    """Measured synchronization time of each strategy at ``num_blocks``.
+
+    The §7.3 method on the micro-benchmark: one Fig. 11 cell per
+    strategy plus the compute-only baseline.  Returns ``(null_ns,
+    {strategy: total - null})``; divide by ``rounds`` for the per-round
+    barrier cost.  A caching ``executor`` serves these cells and
+    :func:`fig11`'s from the same entries.  ``executor=None`` runs
+    inline in this process, which is what strategies registered at
+    runtime need.
+    """
+    if rounds < 1:
+        raise ConfigError(f"rounds must be >= 1, got {rounds}")
+    cfg = config or get_preset("gtx280")
+    # fig11's default sweep (1..num_sms blocks) sizes its data for
+    # num_sms blocks; the same hint makes the cells share cache keys.
+    hint = max(num_blocks, cfg.num_sms)
+    spec = {"name": "micro", "rounds": rounds, "num_blocks_hint": hint}
+    sweep = _sweep("micro", spec, [num_blocks], strategies, cfg, executor, None)
+    return sweep.nulls[0], {s: sweep.sync_series(s)[0] for s in strategies}
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +370,7 @@ def algorithm_sweep(
     if not xs:
         raise ExperimentError("empty block sweep")
     spec = _algorithm_spec(algorithm_name)
-    device = device_config_to_dict(cfg)
-    payloads = [_cell(spec, "null", n, device) for n in xs]
-    for strat in strategies:
-        payloads.extend(_cell(spec, strat, n, device) for n in xs)
-    totals = _totals(executor, payloads, resume)
-    sweep = SweepResult(algorithm=algorithm_name, blocks=xs)
-    sweep.nulls = totals[: len(xs)]
-    for j, strat in enumerate(strategies):
-        start = len(xs) * (j + 1)
-        sweep.totals[strat] = totals[start : start + len(xs)]
-    return _stamp(sweep)
+    return _sweep(algorithm_name, spec, xs, strategies, cfg, executor, resume)
 
 
 def fig13(
@@ -404,7 +428,7 @@ def fig15(
         payloads.extend(
             _cell(spec, strat, num_blocks, device) for strat in strategies
         )
-    totals = _totals(executor, payloads, resume)
+    totals, _ = _totals(executor, payloads, resume)
     stride = 1 + len(strategies)
     out: Dict[str, Dict[str, Breakdown]] = {}
     for i, name in enumerate(algorithms):
@@ -457,7 +481,7 @@ def headline(
         spec = _algorithm_spec(name)
         payloads.append(_cell(spec, "cpu-implicit", num_blocks, device))
         payloads.append(_cell(spec, "gpu-lockfree", num_blocks, device))
-    totals = _totals(executor, payloads, resume)
+    totals, _ = _totals(executor, payloads, resume)
     null = totals[0]
     sync = {
         strat: totals[1 + i] - null for i, strat in enumerate(micro_strats)
@@ -486,28 +510,23 @@ def model_validation(
 
     Returns ``{strategy: {N: {"measured": ns, "predicted": ns}}}``.
     Measured cost is ``(total − compute-only) / rounds`` on the
-    micro-benchmark; predictions come from
-    :mod:`repro.model.barrier_costs`.  The model assumes all blocks hit
-    the barrier simultaneously, so measurements may fall slightly below
-    predictions for unbalanced trees.
+    micro-benchmark (:func:`probe_sync_ns`); predictions come from the
+    tuner's topology-aware cost table
+    (:func:`repro.model.tune.barrier_cost_table`).  The model assumes
+    all blocks hit the barrier simultaneously, so measurements may fall
+    slightly below predictions for unbalanced trees.
     """
+    from repro.model.tune import barrier_cost_table
+
     cfg = config or get_preset("gtx280")
     xs = list(blocks) if blocks is not None else [1, 2, 4, 8, 16, 24, 30]
-    timings = cfg.timings
-    predictors = {
-        "gpu-simple": lambda n: simple_cost(n, timings),
-        "gpu-tree-2": lambda n: tree_cost(n, 2, timings),
-        "gpu-tree-3": lambda n: tree_cost(n, 3, timings),
-        "gpu-lockfree": lambda n: lockfree_cost(n, timings),
-    }
-    micro = MeanMicrobench(rounds=rounds, num_blocks_hint=max(xs))
     out: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for strat, predict in predictors.items():
-        per_n: Dict[int, Dict[str, float]] = {}
-        for n in xs:
-            null = compute_only(micro, n, config=cfg)
-            result = run(micro, strat, n, config=cfg)
-            measured = sync_time_ns(result, null) / rounds
-            per_n[n] = {"measured": measured, "predicted": float(predict(n))}
-        out[strat] = per_n
+    for n in xs:
+        predicted = barrier_cost_table(n, cfg.timings, cfg.topology)
+        _, sync = probe_sync_ns(tuple(predicted), n, rounds, cfg)
+        for strat, cost in predicted.items():
+            out.setdefault(strat, {})[n] = {
+                "measured": sync[strat] / rounds,
+                "predicted": float(cost),
+            }
     return out

@@ -8,8 +8,9 @@
   from accelerating synchronization only).
 * :mod:`repro.model.barrier_costs` — Eqs. 6, 7, 9 (analytic barrier costs)
   and Eq. 8 (optimal tree grouping).
-* :mod:`repro.model.advisor` — strategy recommendation from the models
-  (the paper's future-work item).
+* :mod:`repro.model.tune` — the strategy tuner: one Eq. 3–9 cost table,
+  the recommendation built on it (the paper's future-work item), and
+  the ``repro tune`` report with its ``SC100`` advisory.
 """
 
 from repro.model.barrier_costs import (

@@ -1,21 +1,29 @@
-"""Workload tuning: cost-model-backed strategy advice (``repro tune``).
+"""The strategy tuner: Eq. 3–9 cost predictions and ``repro tune``.
 
-The advisor (:mod:`repro.model.advisor`) answers "which strategy is
-fastest for this workload?"; this module turns the answer into an
-*auditable report* against the strategy a user actually configured.
-:func:`tune_workload` predicts every strategy's total time under a
-preset's calibrated, topology-resolved timings and — when the
-configured strategy diverges from the recommendation — emits an
-``SC100 suboptimal-strategy`` advisory as a regular
+The paper closes with a future-work item: "a general model to
+characterize algorithms' parallelism properties, based on which better
+performance can be obtained".  This module realizes the obvious version
+of that.  :func:`predict_all` predicts a workload's total time under
+every synchronization strategy from its per-round computation time, its
+number of rounds and a block count (Eqs. 3–5 around the Eq. 6/7/9
+barrier costs of :func:`barrier_cost_table`), charging the interconnect
+crossings of multi-domain topologies; :func:`recommend` picks the
+fastest.
+
+:func:`tune_workload` turns the answer into an *auditable report*
+against the strategy a user actually configured.  When the configured
+strategy diverges from the recommendation it emits an ``SC100
+suboptimal-strategy`` advisory as a regular
 :class:`~repro.staticcheck.report.StaticFinding`, so CI surfaces tuning
 drift through the same finding pipeline as the linter.
 
-With ``measure=True`` the report also validates the model against the
-simulator: every modeled strategy runs the workload's microbenchmark
-through the cached parallel executor alongside a ``null`` (compute-only)
-baseline, and the measured per-round synchronization overheads
-(``total - null``) ride along for comparison with the predictions —
-the paper's §5.4 model-vs-measurement check, per workload.
+With ``measure=True`` the report also checks the model against the
+simulator: :func:`~repro.harness.experiments.probe_sync_ns` runs the
+micro-benchmark under every modeled strategy plus a ``null``
+(compute-only) baseline through the cached executor, and the measured
+synchronization overheads (``total - null``) ride along for comparison
+with the predictions — the paper's §5.4 model-vs-measurement check, per
+workload.
 
 Serialization uses the shared schema-3 envelope under the
 ``tune-report`` kind.
@@ -24,14 +32,34 @@ Serialization uses the shared schema-3 envelope under the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.gpu.presets import get_preset, resolve_timing_context
-from repro.model.advisor import Recommendation, recommend
+from repro.gpu.topology import Topology
+from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
+from repro.model.calibration import CalibratedTimings, default_timings
+from repro.model.kernel_time import (
+    cpu_explicit_time,
+    cpu_implicit_time,
+    gpu_sync_time,
+)
 from repro.staticcheck.report import StaticFinding
 
-__all__ = ["MODELED_STRATEGIES", "TuneReport", "tune_workload"]
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.gpu.config import DeviceConfig
+
+__all__ = [
+    "MODELED_STRATEGIES",
+    "Recommendation",
+    "TuneReport",
+    "barrier_cost_table",
+    "predict_all",
+    "recommend",
+    "tune_workload",
+]
+
+Number = Union[int, float]
 
 #: every strategy the cost model predicts (Eqs. 3–9); all are
 #: registered under the same names, so the measured sweep can run each.
@@ -43,6 +71,98 @@ MODELED_STRATEGIES = (
     "gpu-tree-3",
     "gpu-lockfree",
 )
+
+
+def barrier_cost_table(
+    num_blocks: int,
+    timings: CalibratedTimings,
+    topology: Optional[Topology] = None,
+) -> Dict[str, float]:
+    """Per-round device-barrier cost (ns) of each GPU strategy.
+
+    Eqs. 6, 7 and 9, plus the crossing surcharges ``topology`` adds on
+    multi-domain devices (``None`` is the paper's single device).
+    """
+    return {
+        "gpu-simple": simple_cost(num_blocks, timings, topology=topology),
+        "gpu-tree-2": tree_cost(num_blocks, 2, timings, topology=topology),
+        "gpu-tree-3": tree_cost(num_blocks, 3, timings, topology=topology),
+        "gpu-lockfree": lockfree_cost(num_blocks, timings, topology=topology),
+    }
+
+
+@dataclass(frozen=True)
+class Recommendation:
+    """Outcome of :func:`recommend`."""
+
+    strategy: str  #: name of the predicted-fastest strategy
+    predicted_ns: float  #: its predicted total time
+    ranking: List[tuple]  #: all (strategy, predicted_ns) sorted ascending
+    rho: float  #: compute fraction under the CPU-implicit baseline
+
+
+def predict_all(
+    rounds: int,
+    compute_ns: Union[Number, Sequence[Number]],
+    num_blocks: int,
+    timings: Optional[CalibratedTimings] = None,
+    *,
+    config: Optional["DeviceConfig"] = None,
+) -> Dict[str, float]:
+    """Predicted total time (ns) for every strategy at this configuration.
+
+    ``config`` predicts for a concrete device: its calibrated timings
+    (unless ``timings`` is given explicitly) *and* its topology, so
+    multi-domain presets (``dual_gpu``, ``riscv_cluster_1024``) charge
+    the interconnect crossings their barriers would really pay.
+    """
+    if num_blocks < 1:
+        raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
+    if timings is None and config is not None:
+        timings = config.timings
+    t = timings or default_timings()
+    costs = barrier_cost_table(
+        num_blocks, t, config.topology if config else None
+    )
+    return {
+        "cpu-explicit": cpu_explicit_time(rounds, compute_ns, t),
+        "cpu-implicit": cpu_implicit_time(rounds, compute_ns, t),
+        **{
+            name: gpu_sync_time(rounds, compute_ns, cost, t)
+            for name, cost in costs.items()
+        },
+    }
+
+
+def recommend(
+    rounds: int,
+    compute_ns: Union[Number, Sequence[Number]],
+    num_blocks: int,
+    timings: Optional[CalibratedTimings] = None,
+    *,
+    config: Optional["DeviceConfig"] = None,
+) -> Recommendation:
+    """Recommend the predicted-fastest synchronization strategy.
+
+    ``config`` resolves timings and topology from a concrete device,
+    exactly as in :func:`predict_all`.
+    """
+    predictions = predict_all(
+        rounds, compute_ns, num_blocks, timings, config=config
+    )
+    ranking = sorted(predictions.items(), key=lambda kv: kv[1])
+    baseline = predictions["cpu-implicit"]
+    total_compute = (
+        compute_ns * rounds
+        if isinstance(compute_ns, (int, float))
+        else float(sum(compute_ns))
+    )
+    return Recommendation(
+        strategy=ranking[0][0],
+        predicted_ns=ranking[0][1],
+        ranking=ranking,
+        rho=total_compute / baseline,
+    )
 
 
 @dataclass
@@ -156,40 +276,6 @@ class TuneReport:
         return "\n".join(lines)
 
 
-def _measure(
-    rounds: int, num_blocks: int, preset: str, executor=None
-) -> Dict[str, int]:
-    """Measured totals: ``null`` baseline plus every modeled strategy.
-
-    Mirrors the Fig. 11 sweep's payload shape so results share the
-    executor's content-addressed cache with the benchmarks.
-    """
-    from repro.parallel import Executor
-    from repro.serialization import device_config_to_dict
-
-    device = device_config_to_dict(get_preset(preset))
-    spec = {
-        "name": "micro",
-        "rounds": rounds,
-        "num_blocks_hint": num_blocks,
-        "threads_per_block": 64,
-    }
-    names = ["null", *MODELED_STRATEGIES]
-    payloads = [
-        {
-            "algorithm": spec,
-            "strategy": name,
-            "num_blocks": num_blocks,
-            "device": device,
-            "threads_per_block": 64,
-        }
-        for name in names
-    ]
-    ex = executor if executor is not None else Executor(jobs=1)
-    totals = ex.map("run-total", payloads)
-    return dict(zip(names, (int(t) for t in totals)))
-
-
 def tune_workload(
     rounds: int,
     compute_ns: float,
@@ -248,11 +334,13 @@ def tune_workload(
         advisory=advisory,
     )
     if measure:
-        capped = measure_rounds or min(rounds, 50)
-        totals = _measure(capped, num_blocks, preset, executor)
-        null = totals.pop("null")
-        report.measured_null_ns = null
-        report.measured_sync_ns = {
-            name: total - null for name, total in totals.items()
-        }
+        from repro.harness.experiments import probe_sync_ns
+
+        report.measured_null_ns, report.measured_sync_ns = probe_sync_ns(
+            MODELED_STRATEGIES,
+            num_blocks,
+            measure_rounds or min(rounds, 50),
+            config,
+            executor=executor,
+        )
     return report

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
+from repro.gpu.presets import get_preset
 from repro.harness import experiments
+from repro.harness.experiments import probe_sync_ns
+from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
+from repro.parallel import Executor, ResultCache
 
 
 def test_make_algorithm_known_names():
@@ -56,6 +60,55 @@ def test_model_validation_small():
             assert pair["measured"] >= pair["predicted"] * 0.80, (strat, n)
 
 
+def test_model_validation_predicts_with_the_preset_topology():
+    cfg = get_preset("dual_gpu")
+    t, topo = cfg.timings, cfg.topology
+    out = experiments.model_validation(config=cfg, blocks=[8], rounds=5)
+    expected = {
+        "gpu-simple": simple_cost(8, t, topology=topo),
+        "gpu-tree-2": tree_cost(8, 2, t, topology=topo),
+        "gpu-tree-3": tree_cost(8, 3, t, topology=topo),
+        "gpu-lockfree": lockfree_cost(8, t, topology=topo),
+    }
+    assert {s: out[s][8]["predicted"] for s in out} == expected
+    assert out["gpu-lockfree"][8]["predicted"] == 4_600
+    assert out["gpu-lockfree"][8]["measured"] == 4_600
+
+
 def test_empty_block_sweep_rejected():
     with pytest.raises(ExperimentError):
         experiments.algorithm_sweep("fft", blocks=[])
+
+
+# ---------------------------------------------------------------------------
+# The sync-cost probe
+# ---------------------------------------------------------------------------
+
+
+def test_probe_matches_known_costs():
+    _, sync = probe_sync_ns(("gpu-lockfree", "gpu-simple"), 16, 8)
+    assert sync["gpu-lockfree"] / 8 == lockfree_cost(16)
+    assert sync["gpu-simple"] / 8 == simple_cost(16)
+
+
+def test_probe_cpu_implicit():
+    _, sync = probe_sync_ns(("cpu-implicit",), 8, 10)
+    # total-minus-null attributes (R-1)/R of the boundary per round.
+    assert 5000 <= sync["cpu-implicit"] / 10 <= 6000
+
+
+def test_probe_validation():
+    with pytest.raises(ConfigError):
+        probe_sync_ns(("gpu-lockfree",), 8, 0)
+
+
+def test_probe_is_served_from_the_fig11_cache(tmp_path):
+    ex = Executor(cache=ResultCache(tmp_path))
+    sweep = experiments.fig11(
+        rounds=3, blocks=[8, 30], strategies=("gpu-simple",), executor=ex
+    )
+    ran = ex.tasks_run
+    null, sync = probe_sync_ns(("gpu-simple",), 8, 3, executor=ex)
+    assert ex.tasks_run == ran  # every cell was a cache hit
+    assert null == sweep.nulls[0]
+    assert sync["gpu-simple"] == sweep.sync_series("gpu-simple")[0]

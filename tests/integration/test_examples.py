@@ -40,7 +40,6 @@ CASES = {
     "deadlock_demo.py": [],
     "custom_kernel.py": [],
     "custom_barrier.py": [],
-    "autotune_demo.py": [],
     "multi_gpu.py": [],
     "chaos_recovery.py": [],
 }

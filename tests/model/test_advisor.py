@@ -1,9 +1,13 @@
-"""Tests for the strategy advisor (future-work module)."""
+"""Tests for the cost-model recommendation (the paper's future-work item).
+
+``predict_all`` / ``recommend`` live in :mod:`repro.model.tune`, the one
+strategy tuner.
+"""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.model.advisor import predict_all, recommend
+from repro.model.tune import predict_all, recommend
 
 
 def test_predict_all_covers_every_strategy():

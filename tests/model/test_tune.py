@@ -4,12 +4,19 @@ import json
 
 import pytest
 
+from repro.algorithms import MeanMicrobench, Reduction
 from repro.errors import ConfigError
 from repro.gpu.presets import get_preset, resolve_timing_context
 from repro.gpu.topology import Topology
-from repro.model.advisor import predict_all, recommend
+from repro.harness import run
 from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
-from repro.model.tune import MODELED_STRATEGIES, tune_workload
+from repro.model.tune import (
+    MODELED_STRATEGIES,
+    barrier_cost_table,
+    predict_all,
+    recommend,
+    tune_workload,
+)
 
 # ---------------------------------------------------------------------------
 # Topology surcharges on the barrier cost models
@@ -98,6 +105,17 @@ def test_explicit_timings_win_over_config():
     assert preds["gpu-lockfree"] == flat["gpu-lockfree"] + 10 * 2 * 1_500
 
 
+def test_barrier_cost_table_is_the_topology_aware_eq_6_7_9():
+    cfg = get_preset("dual_gpu")
+    t, topo = cfg.timings, cfg.topology
+    assert barrier_cost_table(8, t, topo) == {
+        "gpu-simple": simple_cost(8, t, topology=topo),
+        "gpu-tree-2": tree_cost(8, 2, t, topology=topo),
+        "gpu-tree-3": tree_cost(8, 3, t, topology=topo),
+        "gpu-lockfree": lockfree_cost(8, t, topology=topo),
+    }
+
+
 def test_resolve_timing_context_matches_preset():
     timings, topology = resolve_timing_context("dual_gpu")
     cfg = get_preset("dual_gpu")
@@ -181,3 +199,61 @@ def test_tune_measured_sweep_validates_the_model():
     assert measured["gpu-lockfree"] < measured["gpu-simple"]
     assert report.measured_best == "gpu-lockfree"
     assert "measured sync overhead" in report.render()
+
+
+# ---------------------------------------------------------------------------
+# The recommendation against brute force: run every modeled strategy
+# ---------------------------------------------------------------------------
+
+
+def _pick_and_brute_force(algorithm, num_blocks, preset="gtx280"):
+    """The tuner's pick from the slowest block's per-round compute, and
+    the strategy that actually runs fastest."""
+    cfg = get_preset(preset)
+    per_round = [
+        max(algorithm.round_cost(r, b, num_blocks) for b in range(num_blocks))
+        for r in range(algorithm.num_rounds())
+    ]
+    rec = recommend(algorithm.num_rounds(), per_round, num_blocks, config=cfg)
+    totals = {
+        name: run(algorithm, name, num_blocks, config=cfg).total_ns
+        for name in MODELED_STRATEGIES
+    }
+    return rec, min(totals, key=totals.get)
+
+
+def test_picks_lockfree_for_sync_bound_grid():
+    rec, fastest = _pick_and_brute_force(Reduction(n=4096, num_blocks_hint=30), 30)
+    assert rec.strategy == fastest == "gpu-lockfree"
+
+
+def test_picks_simple_for_tiny_grid():
+    rec, fastest = _pick_and_brute_force(
+        MeanMicrobench(rounds=50, num_blocks_hint=2), 2
+    )
+    assert rec.strategy == fastest == "gpu-simple"
+
+
+def test_pick_is_brute_force_fastest_at_24_blocks():
+    rec, fastest = _pick_and_brute_force(
+        MeanMicrobench(rounds=40, num_blocks_hint=24), 24
+    )
+    assert rec.strategy == fastest
+
+
+def test_pick_is_brute_force_fastest_on_dual_gpu():
+    """A short probe under-prices cpu-implicit here (total - null
+    charges only (R-1)/R of a kernel boundary per round); the cost model
+    charges every boundary and agrees with running every strategy."""
+    rec, fastest = _pick_and_brute_force(
+        Reduction(n=4096, num_blocks_hint=30), 30, preset="dual_gpu"
+    )
+    assert rec.strategy == fastest == "gpu-lockfree"
+
+
+def test_prediction_close_to_measurement():
+    """The recommendation's predicted total must track a real run."""
+    micro = MeanMicrobench(rounds=60, num_blocks_hint=16)
+    rec = recommend(60, micro.round_cost(0, 0, 16), 16)
+    measured = run(micro, rec.strategy, 16).total_ns
+    assert measured == pytest.approx(rec.predicted_ns, rel=0.05)
