@@ -11,7 +11,7 @@
   model-validation study, plus the sync-cost probe
   (``probe_sync_ns``) every model check measures with.
 * :mod:`repro.harness.report` — plain-text table/series rendering.
-* :mod:`repro.harness.cli` — ``python -m repro.harness <experiment>``.
+* :mod:`repro.harness.cli` — ``python -m repro.harness <verb>``, one verb table.
 """
 
 from repro.harness.phases import Breakdown, breakdown, compute_only, sync_time_ns

@@ -1,80 +1,9 @@
-"""Command-line entry point: ``python -m repro.harness <experiment>``.
+"""Command-line entry point: ``python -m repro.harness <verb>``.
 
-Experiments (DESIGN.md §4):
-
-* ``table1``   — % of time on inter-block communication (Table 1)
-* ``fig11``    — micro-benchmark time vs blocks, all strategies (Fig. 11)
-* ``fig13``    — kernel time vs blocks for fft/swat/bitonic (Fig. 13a–c)
-* ``fig14``    — synchronization time vs blocks (Fig. 14a–c)
-* ``fig15``    — compute/sync percentage breakdown (Fig. 15)
-* ``headline`` — the abstract's speedup numbers
-* ``models``   — barrier cost: measured vs Eqs. 6/7/9
-* ``all``      — everything above (slow)
-
-Extras beyond the paper:
-
-* ``extensions`` — sense-reversal & dissemination barriers vs the
-  paper's three, plus the prefix-scan workload
-* ``trace``      — run one configuration and write a Chrome-tracing
-  JSON of every block's compute/sync spans (``--out``)
-* ``sanitize``   — replay a strategy (or ``--strategy all``) under
-  fuzzed schedules and report barrier/race findings (docs/sanitizer.md);
-  exits 1 when any finding survives
-* ``chaos``      — run ``--plans`` seeded fault plans against a strategy
-  (or ``--strategy all``) under the resilient runtime (docs/faults.md);
-  exits 1 when any run's fate is not explained by its fault plan
-* ``cache``      — inspect (``cache stats``, the default) or empty
-  (``cache clear``) the content-addressed result cache
-* ``lint``       — static barrier-protocol analysis over Python source
-  (``lint [paths...]``, default ``src/repro examples``); supports
-  ``--format text|json`` and ``--strict`` (docs/staticcheck.md); exits
-  1 on error-severity findings (any finding under ``--strict``), 2 on
-  unreadable/unparsable input.  ``--fix`` applies every
-  machine-applicable repair in place (docs/staticcheck.md's repair
-  catalog), re-linting after each patch to prove the findings are
-  gone; ``--fix --diff`` prints the pending repairs as a unified diff
-  without writing, and ``--fix --check`` writes nothing and exits 1
-  when any repair is pending (the CI "fix-clean" gate)
-* ``tune``       — cost-model-backed strategy advice (docs/tuning.md):
-  predict every strategy's total time for a workload (``--rounds``,
-  ``--compute-ns``, ``--blocks``) under ``--preset``'s calibrated,
-  topology-resolved timings and emit an ``SC100 suboptimal-strategy``
-  advisory when ``--strategy`` diverges from the recommendation;
-  ``--measure`` validates the model against a measured sweep through
-  the (cacheable) executor; exits 0 unless ``--strict`` and suboptimal
-* ``serve``      — run the crash-safe sweep service: an HTTP job queue
-  backed by a SQLite job table in WAL mode, with content-addressed
-  dedup, lease-based worker recovery, and graceful SIGTERM drain
-  (docs/service.md); ``--port``, ``--workers``, ``--lease-s``,
-  ``--retry-budget``, ``--max-queued``, ``--service-dir``
-* ``crashtest``  — run the crash matrix against the sweep service: fire
-  every registered crash point (or ``--crash-points``/
-  ``--crash-actions`` subsets) in a live victim worker on one simulated
-  host while a second host stands by, then prove recovery — no job
-  lost, none double-completed, lease takeover by the survivor, final
-  envelope byte-identical to an undisturbed run (docs/crashtest.md);
-  ``--budget-s`` bounds the wall clock, ``--skew-s`` sets the injected
-  clock skew for the skewed-host configs; exits 1 unless every
-  scenario passed
-
-Device flag (docs/topology.md): ``--preset NAME`` runs the whole
-battery against a registered device preset (default ``gtx280``, the
-paper's card; see ``repro.gpu.presets``).  Block counts the paper pins
-at 30 clamp to the preset's co-residency limit, and ``lint`` resolves
-its SC002 occupancy limit through the preset's topology.
-
-Execution flags (docs/parallel.md): ``--jobs N`` shards sweeps and
-campaigns across N worker processes; ``--cache`` memoizes every run
-keyed on its full configuration (``--cache-dir`` relocates the store).
-Both are bit-identical to the serial, uncached run.
-
-Resilience flags (docs/resilience.md): ``--journal`` write-ahead-journals
-every completed cell under ``benchmarks/out/journal/<run-id>/``
-(``--journal-dir`` relocates it); a journaled run interrupted by
-Ctrl-C/SIGTERM exits 130 with a resume hint, and ``--resume [RUN_ID]``
-replays the journal and executes only the remainder — bit-identical to
-an uninterrupted run.  ``--resume`` with no run-id resumes whatever
-journal matches each batch.
+Every verb is one entry of :data:`VERBS`: its handler, the flags it
+reads and a one-line help.  ``python -m repro.harness <verb> --help``
+is the flag reference; a verb rejects (exit 2) any flag it does not
+read.  ``all`` runs the paper's verbs (DESIGN.md §4) in table order.
 """
 
 from __future__ import annotations
@@ -82,28 +11,185 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import InterruptedSweepError
 from repro.faults.crashpoints import CRASH_ACTIONS
 from repro.gpu.presets import get_preset, preset_names
 from repro.harness import experiments, report
+from repro.parallel import DEFAULT_CACHE_DIR, DEFAULT_JOURNAL_DIR, Executor, ResultCache
 
 __all__ = ["main"]
 
+#: the six device barriers: the paper's three plus the extension
+#: barriers.  ``extensions`` compares them; ``sanitize --strategy all``
+#: sweeps them.
+DEVICE_BARRIERS = (
+    "gpu-simple", "gpu-sense-reversal", "gpu-tree-2", "gpu-tree-3",
+    "gpu-dissemination", "gpu-lockfree",
+)
 
-def _persist_sweep(args: argparse.Namespace, sweep, stem: str) -> None:
-    if args.save_sweeps is None:
-        return
-    from pathlib import Path
+#: strategies ``chaos --strategy all`` sweeps: every device barrier that
+#: can degrade to the host-side fallback, plus the fallback itself so
+#: the host path's fault handling is exercised directly.
+CHAOS_ALL = ("gpu-simple", "gpu-tree-2", "gpu-lockfree", "cpu-implicit")
 
-    from repro.harness.store import save_sweep
+# -- flags --------------------------------------------------------------------
 
-    out = Path(args.save_sweeps)
-    out.mkdir(parents=True, exist_ok=True)
-    save_sweep(sweep, out / f"{stem}.json")
-    (out / f"{stem}.csv").write_text(sweep.to_csv())
-    (out / f"{stem}_sync.csv").write_text(sweep.to_csv(sync=True))
+#: every flag (and positional) any verb reads, by name.
+FLAGS: Dict[str, dict] = {
+    "--preset": dict(
+        default="gtx280", help="device preset (default gtx280, the paper's card)"
+    ),
+    "--jobs": dict(
+        type=int, default=1, help="worker processes (default 1: serial, in-process)"
+    ),
+    "--cache": dict(
+        action=argparse.BooleanOptionalAction,
+        default=False,
+        help="memoize runs in the content-addressed result cache",
+    ),
+    "--cache-dir": dict(help="cache location (default benchmarks/out/cache)"),
+    "--journal": dict(
+        action=argparse.BooleanOptionalAction,
+        default=False,
+        help="journal every completed cell so an interrupted run can resume",
+    ),
+    "--journal-dir": dict(help="journal location (default benchmarks/out/journal)"),
+    "--resume": dict(
+        nargs="?",
+        const="auto",
+        metavar="RUN_ID",
+        help="replay a journaled run and execute only the remainder (implies "
+        "--journal); no RUN_ID resumes whatever journal matches each batch",
+    ),
+    "--rounds": dict(type=int, default=200, help="rounds (paper: 10000; default 200)"),
+    "--plot": dict(action="store_true", help="add ASCII charts of the sweeps"),
+    "--save-sweeps": dict(metavar="DIR", help="persist the sweeps as JSON + CSV"),
+    "--algorithms": dict(
+        nargs="+",
+        default=["fft", "swat", "bitonic"],
+        choices=["fft", "swat", "bitonic"],
+    ),
+    "--step": dict(type=int, default=3, help="block-count step (paper: 1; default 3)"),
+    "--strategy": dict(
+        default="gpu-lockfree",
+        help="barrier strategy (sanitize and chaos also accept 'all')",
+    ),
+    "--blocks": dict(type=int, default=8, help="grid size (default 8)"),
+    "--seed": dict(type=int, help="base seed (default: the sanitizer's)"),
+    "--format": dict(choices=["text", "json"], default="text"),
+    "--strict": dict(
+        action="store_true",
+        help="exit 1 on any finding (lint) or a suboptimal strategy (tune)",
+    ),
+    "--out": dict(default="trace.json", help="Chrome-tracing JSON path"),
+    "--report-out": dict(default="report.md", help="Markdown report path"),
+    "--baseline": dict(required=True, help="the blessed sweep JSON"),
+    "--current": dict(required=True, help="the sweep JSON to compare"),
+    "--rel-tol": dict(type=float, default=0.0, help="relative drift tolerance"),
+    "--schedules": dict(type=int, default=25, help="fuzzed schedules per strategy"),
+    "--plans": dict(type=int, default=50, help="seeded fault plans per strategy"),
+    "action": dict(nargs="?", choices=("stats", "clear"), default="stats"),
+    "paths": dict(
+        nargs="*",
+        default=["src/repro", "examples"],
+        metavar="PATH",
+        help="files/directories to analyze (default: src/repro examples)",
+    ),
+    "--fix": dict(action="store_true", help="apply every machine-applicable repair"),
+    "--diff": dict(action="store_true", help="--fix dry run: print a unified diff"),
+    "--check": dict(
+        action="store_true", help="--fix dry run: exit 1 when any repair is pending"
+    ),
+    "--compute-ns": dict(
+        type=float, default=5_000.0, help="per-round compute time in ns (default 5000)"
+    ),
+    "--measure": dict(
+        action="store_true", help="validate the model against a measured sweep"
+    ),
+    "--host": dict(default="127.0.0.1", help="bind address"),
+    "--port": dict(type=int, default=8642, help="bind port (0 picks a free port)"),
+    "--service-dir": dict(help="service root (default benchmarks/out/service)"),
+    "--workers": dict(
+        type=int, default=1, help="worker processes (0 = external workers)"
+    ),
+    "--lease-s": dict(type=float, default=30.0, help="worker lease in seconds"),
+    "--retry-budget": dict(
+        type=int, default=2, help="lease-expiry re-executions before failing a job"
+    ),
+    "--max-queued": dict(
+        type=int, default=256, help="queue bound; a full queue answers 429"
+    ),
+    "--budget-s": dict(
+        type=float, default=900.0, help="wall-clock budget; later scenarios fail"
+    ),
+    "--crash-lease-s": dict(
+        type=float, default=1.0, help="worker lease duration (default 1.0)"
+    ),
+    "--skew-s": dict(
+        type=float, default=0.6, help="clock skew of the skewed-host configs"
+    ),
+    "--crash-points": dict(
+        nargs="+", metavar="POINT", help="only these crash points (default: all)"
+    ),
+    "--crash-actions": dict(
+        nargs="+",
+        choices=sorted(CRASH_ACTIONS),
+        metavar="ACTION",
+        help=f"only these actions ({', '.join(sorted(CRASH_ACTIONS))})",
+    ),
+}
+
+#: named flag groups; a verb's ``reads`` names groups, single flags,
+#: or a tuple of mutually exclusive flags.
+GROUPS: Dict[str, Tuple[str, ...]] = {
+    "preset": ("--preset",),
+    "execution": (
+        "--jobs", "--cache", "--cache-dir", "--journal", "--journal-dir",
+        "--resume",
+    ),
+    "rounds": ("--rounds",),
+    "figure": ("--plot", "--save-sweeps"),
+    "sweep": ("--algorithms", "--step"),
+    "target": ("--strategy", "--blocks"),
+    "seed": ("--seed",),
+    "format": ("--format", "--strict"),
+}
+
+
+# -- shared setup ---------------------------------------------------------------
+
+
+class Context:
+    """Setup the verbs of one invocation share, built once.
+
+    ``config`` is the preset's device; ``pinned_blocks`` is the
+    paper's 30-block grid (its GTX 280's SM count) clamped to the
+    preset's co-residency limit — the identity on ``gtx280``, which
+    keeps output and cache keys byte-identical to the paper's card.
+    ``executor``/``cache`` exist only for verbs that take execution
+    flags and ask for sharding, caching or journaling.
+    """
+
+    def __init__(self, args: argparse.Namespace, execution: bool) -> None:
+        self.config = get_preset(getattr(args, "preset", "gtx280"))
+        self.limit = self.config.topology.max_co_resident_blocks(self.config)
+        self.pinned_blocks = min(30, self.limit)
+        self.cache: Optional[ResultCache] = None
+        self.executor: Optional[Executor] = None
+        if not execution:
+            return
+        if args.cache:
+            self.cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+        journal_dir = None
+        if args.journal or args.resume is not None:
+            journal_dir = args.journal_dir or DEFAULT_JOURNAL_DIR
+        if args.jobs > 1 or self.cache is not None or journal_dir is not None:
+            self.executor = Executor(
+                args.jobs, cache=self.cache, journal_dir=journal_dir
+            )
 
 
 def _per_batch_resume(resume: Optional[str], batches: int) -> Optional[str]:
@@ -114,62 +200,109 @@ def _per_batch_resume(resume: Optional[str], batches: int) -> Optional[str]:
     return "auto"
 
 
-def _fig13_14(args: argparse.Namespace, sync: bool, executor=None, cfg=None) -> str:
+# -- verb handlers: (args, ctx) -> (text, exit code) --------------------------
+
+
+def _show_sweep(args, sweep, table: str, stem: str, sync: bool, title: str):
+    """Persist a sweep under ``--save-sweeps`` and append its ``--plot``."""
+    if args.save_sweeps is not None:
+        from pathlib import Path
+
+        from repro.harness.store import save_sweep
+
+        out = Path(args.save_sweeps)
+        out.mkdir(parents=True, exist_ok=True)
+        save_sweep(sweep, out / f"{stem}.json")
+        (out / f"{stem}.csv").write_text(sweep.to_csv())
+        (out / f"{stem}_sync.csv").write_text(sweep.to_csv(sync=True))
+    if not args.plot:
+        return table
+    from repro.harness.plot import plot_sweep
+
+    return f"{table}\n\n{plot_sweep(sweep, sync=sync, title=title)}"
+
+
+def _pinned(run: Callable, render: Callable):
+    """A verb that renders ``run`` on the paper's (clamped) 30-block grid."""
+
+    def handler(args, ctx):
+        result = run(
+            config=ctx.config,
+            num_blocks=ctx.pinned_blocks,
+            executor=ctx.executor,
+            resume=args.resume,
+        )
+        return render(result), 0
+
+    return handler
+
+
+def _fig11(args, ctx):
+    sweep = experiments.fig11(
+        config=ctx.config, rounds=args.rounds, executor=ctx.executor, resume=args.resume
+    )
+    table = report.render_sweep_totals(
+        sweep, f"Fig. 11 (micro-benchmark, {args.rounds} rounds)"
+    )
+    return _show_sweep(args, sweep, table, "fig11", True, "Fig. 11 sync time"), 0
+
+
+def _fig13_14(args, ctx, sync: bool):
     chunks: List[str] = []
     resume = _per_batch_resume(args.resume, len(args.algorithms))
+    fig, stem = ("Fig. 14", "fig14") if sync else ("Fig. 13", "fig13")
+    render = report.render_sweep_sync if sync else report.render_sweep_totals
     for algo in args.algorithms:
         sweep = experiments.algorithm_sweep(
-            algo, config=cfg, step=args.step, executor=executor, resume=resume
+            algo,
+            config=ctx.config,
+            step=args.step,
+            executor=ctx.executor,
+            resume=resume,
         )
-        fig = "Fig. 14" if sync else "Fig. 13"
         title = f"{fig} ({algo})"
-        if sync:
-            chunks.append(report.render_sweep_sync(sweep, title))
-        else:
-            chunks.append(report.render_sweep_totals(sweep, title))
-        if args.plot:
-            from repro.harness.plot import plot_sweep
-
-            chunks.append(plot_sweep(sweep, sync=sync, title=title))
-        _persist_sweep(args, sweep, f"{'fig14' if sync else 'fig13'}_{algo}")
-    return "\n\n".join(chunks)
+        table = render(sweep, title)
+        chunks.append(_show_sweep(args, sweep, table, f"{stem}_{algo}", sync, title))
+    return "\n\n".join(chunks), 0
 
 
-def _extensions_study(args: argparse.Namespace, executor=None, cfg=None) -> str:
+def _models(args, ctx):
+    blocks = [n for n in (1, 2, 4, 8, 16, 24, 30) if n <= ctx.limit]
+    validation = experiments.model_validation(
+        config=ctx.config, blocks=blocks, executor=ctx.executor
+    )
+    return report.render_model_validation(validation), 0
+
+
+def _extensions(args, ctx):
     """Compare all six device barriers on the micro-benchmark."""
-    cfg = cfg or get_preset("gtx280")
-    limit = cfg.topology.max_co_resident_blocks(cfg)
-    rounds, blocks = min(args.rounds, 200), min(30, limit)
+    rounds, blocks = min(args.rounds, 200), ctx.pinned_blocks
     _, sync = experiments.probe_sync_ns(
-        (
-            "gpu-simple",
-            "gpu-sense-reversal",
-            "gpu-tree-2",
-            "gpu-tree-3",
-            "gpu-dissemination",
-            "gpu-lockfree",
-        ),
-        blocks,
-        rounds,
-        cfg,
-        executor=executor,
+        DEVICE_BARRIERS, blocks, rounds, ctx.config, executor=ctx.executor
     )
     rows = sorted(sync.items(), key=lambda r: r[1])
     return report.format_table(
         ["barrier", "per-round cost (µs)"],
         [[name, f"{ns / rounds / 1e3:.2f}"] for name, ns in rows],
         title=f"Extension barriers — micro, {blocks} blocks",
-    )
+    ), 0
 
 
-def _trace_one(args: argparse.Namespace, cfg=None) -> str:
+def _composition(args, ctx):
+    from repro.harness.tracestats import composition_study, render_composition
+
+    study = composition_study(num_blocks=ctx.pinned_blocks, config=ctx.config)
+    return render_composition(study), 0
+
+
+def _trace(args, ctx):
     """Run one configuration and dump a Chrome-tracing JSON."""
     from repro.algorithms import FFT
     from repro.harness.runner import run
     from repro.harness.traceview import write_chrome_trace
 
     result = run(
-        FFT(n=2**10), args.strategy, args.blocks, config=cfg, keep_device=True
+        FFT(n=2**10), args.strategy, args.blocks, config=ctx.config, keep_device=True
     )
     path = write_chrome_trace(result.device.trace, args.out)
     return (
@@ -177,104 +310,85 @@ def _trace_one(args: argparse.Namespace, cfg=None) -> str:
         f"{result.total_ms:.3f} ms, verified={result.verified}\n"
         f"wrote {len(result.device.trace)} spans to {path} "
         "(open in chrome://tracing or ui.perfetto.dev)"
+    ), 0
+
+
+def _report(args, ctx):
+    from repro.harness.paperreport import generate_report
+
+    path = generate_report(args.report_out, config=ctx.config, micro_rounds=args.rounds)
+    return f"wrote reproduction report to {path}", 0
+
+
+def _diff(args, ctx):
+    from repro.harness.regression import compare_sweeps
+    from repro.harness.store import load_sweep
+
+    drifts = compare_sweeps(
+        load_sweep(args.baseline), load_sweep(args.current), args.rel_tol
     )
+    if not drifts:
+        return "no drift: sweeps are identical within tolerance", 0
+    lines = "\n".join(f"  {d}" for d in drifts)
+    return f"{len(drifts)} drifted point(s):\n{lines}", 1
 
 
-#: strategies ``sanitize --strategy all`` sweeps (the paper's device
-#: barriers plus the extension barriers).
-SANITIZE_ALL = (
-    "gpu-simple",
-    "gpu-sense-reversal",
-    "gpu-tree-2",
-    "gpu-tree-3",
-    "gpu-dissemination",
-    "gpu-lockfree",
-)
+def _campaign(args, ctx, everything: Tuple[str, ...], run_one: Callable):
+    """Run ``run_one`` per strategy (``--strategy all``: ``everything``).
 
-
-def _sanitize(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, int]":
-    """Run the sanitizer; returns (rendered report, exit code).
-
-    Exits 1 when any finding survives.
+    Exits 1 when any report is not clean.
     """
     from repro.errors import ConfigError
-    from repro.sanitize import DEFAULT_SEED, sanitize_run
-
-    strategies = SANITIZE_ALL if args.strategy == "all" else [args.strategy]
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    resume = _per_batch_resume(args.resume, len(strategies))
-    chunks: List[str] = []
-    dirty = False
-    for strat in strategies:
-        try:
-            rep = sanitize_run(
-                strategy=strat,
-                num_blocks=args.blocks,
-                config=cfg,
-                seed=seed,
-                schedules=args.schedules,
-                executor=executor,
-                resume=resume,
-            )
-        except (ConfigError, ValueError) as exc:
-            raise SystemExit(f"sanitize: {exc}")
-        chunks.append(rep.render())
-        dirty = dirty or not rep.clean
-    return "\n\n".join(chunks), int(dirty)
-
-
-#: strategies ``chaos --strategy all`` sweeps: every device barrier that
-#: can degrade to the host-side fallback, plus the fallback itself so
-#: the host path's fault handling is exercised directly.
-CHAOS_ALL = (
-    "gpu-simple",
-    "gpu-tree-2",
-    "gpu-lockfree",
-    "cpu-implicit",
-)
-
-
-def _chaos(args: argparse.Namespace, executor=None, cfg=None) -> "tuple[str, int]":
-    """Run chaos campaigns; returns (rendered reports, exit code).
-
-    Exits 1 when any run's fate is not explained by its fault plan.
-    """
-    from repro.errors import ConfigError
-    from repro.faults import chaos_campaign
     from repro.sanitize import DEFAULT_SEED
 
-    strategies = CHAOS_ALL if args.strategy == "all" else [args.strategy]
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    resume = _per_batch_resume(args.resume, len(strategies))
-    chunks: List[str] = []
-    dirty = False
-    for strat in strategies:
-        try:
-            rep = chaos_campaign(
-                strat,
-                plans=args.plans,
-                seed=seed,
-                num_blocks=args.blocks,
-                config=cfg,
-                executor=executor,
-                resume=resume,
-            )
-        except (ConfigError, ValueError) as exc:
-            raise SystemExit(f"chaos: {exc}")
-        chunks.append(rep.render())
-        dirty = dirty or not rep.clean
-    return "\n\n".join(chunks), int(dirty)
+    strategies = everything if args.strategy == "all" else [args.strategy]
+    common = dict(
+        seed=DEFAULT_SEED if args.seed is None else args.seed,
+        num_blocks=args.blocks,
+        config=ctx.config,
+        executor=ctx.executor,
+        resume=_per_batch_resume(args.resume, len(strategies)),
+    )
+    try:
+        reports = [run_one(strat, **common) for strat in strategies]
+    except (ConfigError, ValueError) as exc:
+        raise SystemExit(f"{args.verb}: {exc}")
+    text = "\n\n".join(rep.render() for rep in reports)
+    return text, int(not all(rep.clean for rep in reports))
 
 
-def _lint(args: argparse.Namespace) -> "tuple[str, int]":
-    """Run the static linter; returns (rendered output, exit code)."""
+def _sanitize(args, ctx):
+    from repro.sanitize import sanitize_run
+
+    def run_one(strat, **kwargs):
+        return sanitize_run(strategy=strat, schedules=args.schedules, **kwargs)
+
+    return _campaign(args, ctx, DEVICE_BARRIERS, run_one)
+
+
+def _chaos(args, ctx):
+    from repro.faults import chaos_campaign
+
+    return _campaign(args, ctx, CHAOS_ALL, partial(chaos_campaign, plans=args.plans))
+
+
+def _cache(args, ctx):
+    store = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+    if args.action == "stats":
+        return store.stats().render(), 0
+    removed = store.clear()
+    noun = "entry" if removed == 1 else "entries"
+    return f"cleared {removed} {noun} from {store.root}", 0
+
+
+def _lint(args, ctx):
+    """Lint (or, with ``--fix``, repair) the given paths."""
     from repro.staticcheck import LintError, lint_paths, sm_limit_for_preset
 
-    if args.fix:
-        return _lint_fix(args)
-    paths = args.action or ["src/repro", "examples"]
     try:
-        rep = lint_paths(paths, sm_limit=sm_limit_for_preset(args.preset))
+        if args.fix:
+            return _lint_fix(args, sm_limit_for_preset(args.preset))
+        rep = lint_paths(args.paths, sm_limit=sm_limit_for_preset(args.preset))
     except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return "", 2
@@ -282,24 +396,13 @@ def _lint(args: argparse.Namespace) -> "tuple[str, int]":
     return text, rep.exit_code(strict=args.strict)
 
 
-def _lint_fix(args: argparse.Namespace) -> "tuple[str, int]":
-    """Run the auto-repair engine; returns (rendered output, exit code).
-
-    ``--fix`` rewrites files in place; ``--diff`` and ``--check`` are
-    dry runs (print the unified diff / gate on pending repairs).
-    """
-    from repro.staticcheck import LintError, sm_limit_for_preset
+def _lint_fix(args, sm_limit: int):
+    """``--fix`` rewrites files in place; ``--diff`` and ``--check`` are
+    dry runs (print the unified diff / gate on pending repairs)."""
     from repro.staticcheck.repair import fix_paths
 
-    paths = args.action or ["src/repro", "examples"]
     write = not (args.diff or args.check)
-    try:
-        results = fix_paths(
-            paths, sm_limit=sm_limit_for_preset(args.preset), write=write
-        )
-    except LintError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return "", 2
+    results = fix_paths(args.paths, sm_limit=sm_limit, write=write)
     changed = [r for r in results if r.changed]
     applied = sum(len(r.applied) for r in results)
     remaining = sum(len(r.remaining) for r in results)
@@ -315,16 +418,12 @@ def _lint_fix(args: argparse.Namespace) -> "tuple[str, int]":
                 "findings_remaining": remaining,
                 "written": write,
                 "results": [
-                    r.to_dict()
-                    for r in results
-                    if r.changed or r.remaining
+                    r.to_dict() for r in results if r.changed or r.remaining
                 ],
             },
         )
     elif args.diff:
-        text = "".join(r.diff() for r in changed) or (
-            "lint --fix: nothing to repair"
-        )
+        text = "".join(r.diff() for r in changed) or "lint --fix: nothing to repair"
     else:
         verb = "fixed" if write else "would fix"
         lines = [
@@ -336,13 +435,10 @@ def _lint_fix(args: argparse.Namespace) -> "tuple[str, int]":
             lines.append(f"  {r.path}:")
             lines.extend(f"    {a.render()}" for a in r.applied)
         text = "\n".join(lines)
-    if args.check and changed:
-        return text, 1
-    return text, 0
+    return text, int(bool(args.check and changed))
 
 
-def _tune(args: argparse.Namespace, executor=None) -> "tuple[str, int]":
-    """Tune one workload; returns (rendered report, exit code)."""
+def _tune(args, ctx):
     from repro.errors import ConfigError
     from repro.model.tune import tune_workload
 
@@ -354,12 +450,194 @@ def _tune(args: argparse.Namespace, executor=None) -> "tuple[str, int]":
             args.strategy,
             args.preset,
             measure=args.measure,
-            executor=executor,
+            executor=ctx.executor,
         )
     except ConfigError as exc:
         raise SystemExit(f"tune: {exc}")
     text = rep.to_json() if args.format == "json" else rep.render()
     return text, rep.exit_code(strict=args.strict)
+
+
+def _serve(args, ctx):
+    from pathlib import Path
+
+    from repro.service.app import serve
+
+    return "", serve(
+        Path(args.service_dir or "benchmarks/out/service"),
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        lease_s=args.lease_s,
+        retry_budget=args.retry_budget,
+        max_queued=args.max_queued,
+        worker_jobs=args.jobs,
+        use_cache=args.cache,
+    )
+
+
+def _crashtest(args, ctx):
+    from repro.faults.crashtest import crash_campaign
+
+    rep = crash_campaign(
+        points=args.crash_points,
+        actions=args.crash_actions,
+        budget_s=args.budget_s,
+        lease_s=args.crash_lease_s,
+        skew_s=args.skew_s,
+        log=lambda msg: print(msg, file=sys.stderr),
+    )
+    return rep.render(), int(not rep.ok)
+
+
+def _all(args, ctx):
+    # 'all' runs many batches; each resumes from its own journal.
+    args.resume = _per_batch_resume(args.resume, len(PAPER_VERBS))
+    results = [VERBS[name].handler(args, ctx) for name in PAPER_VERBS]
+    return "\n\n".join(t for t, _ in results), max(c for _, c in results)
+
+
+# -- the verb table -------------------------------------------------------------
+
+
+class Verb(NamedTuple):
+    handler: Callable[[argparse.Namespace, Context], Tuple[str, int]]
+    #: flag groups, flags, or tuples of mutually exclusive flags.
+    reads: Tuple[Union[str, Tuple[str, ...]], ...]
+    help: str
+    #: part of the paper's evaluation (run by ``all``, in table order).
+    paper: bool = False
+
+
+#: what every verb that runs batches on a device reads.
+_BATCH = ("preset", "execution")
+_SERVICE = (
+    "--host", "--port", "--service-dir", "--workers", "--lease-s",
+    "--retry-budget", "--max-queued", "--jobs", "--cache",
+)
+_CRASH = (
+    "--budget-s", "--crash-lease-s", "--skew-s", "--crash-points",
+    "--crash-actions",
+)
+
+VERBS: Dict[str, Verb] = {
+    "table1": Verb(
+        _pinned(experiments.table1, report.render_table1), _BATCH,
+        "Table 1: share of time spent on inter-block communication", paper=True,
+    ),
+    "fig11": Verb(
+        _fig11, _BATCH + ("rounds", "figure"),
+        "Fig. 11: micro-benchmark time vs blocks, all strategies", paper=True,
+    ),
+    "fig13": Verb(
+        partial(_fig13_14, sync=False), _BATCH + ("sweep", "figure"),
+        "Fig. 13a-c: kernel time vs blocks for fft/swat/bitonic", paper=True,
+    ),
+    "fig14": Verb(
+        partial(_fig13_14, sync=True), _BATCH + ("sweep", "figure"),
+        "Fig. 14a-c: synchronization time vs blocks", paper=True,
+    ),
+    "fig15": Verb(
+        _pinned(experiments.fig15, report.render_fig15), _BATCH,
+        "Fig. 15: compute/sync percentage breakdown", paper=True,
+    ),
+    "headline": Verb(
+        _pinned(experiments.headline, report.render_headline), _BATCH,
+        "the abstract's speedup numbers", paper=True,
+    ),
+    "models": Verb(
+        _models, _BATCH, "barrier cost: measured vs Eqs. 6/7/9", paper=True
+    ),
+    "extensions": Verb(
+        _extensions, _BATCH + ("rounds",),
+        "all six device barriers (paper + extensions) on the micro-benchmark",
+        paper=True,
+    ),
+    "composition": Verb(
+        _composition, ("preset",),
+        "Figs. 7/10: barrier time composition from per-primitive spans",
+        paper=True,
+    ),
+    "trace": Verb(
+        _trace, ("preset", "target", "--out"),
+        "run one configuration and write a Chrome-tracing JSON of its spans",
+    ),
+    "report": Verb(
+        _report, ("preset", "rounds", "--report-out"),
+        "write the Markdown reproduction report with PASS/FAIL claims",
+    ),
+    "diff": Verb(
+        _diff, ("--baseline", "--current", "--rel-tol"),
+        "compare two saved sweeps; exits 1 on drift",
+    ),
+    "sanitize": Verb(
+        _sanitize, _BATCH + ("target", "seed", "--schedules"),
+        "replay under fuzzed schedules and report barrier/race findings "
+        "(docs/sanitizer.md); exits 1 on any finding",
+    ),
+    "chaos": Verb(
+        _chaos, _BATCH + ("target", "seed", "--plans"),
+        "run seeded fault plans under the resilient runtime "
+        "(docs/faults.md); exits 1 on any unexplained fate",
+    ),
+    "cache": Verb(
+        _cache, ("action", "--cache-dir"),
+        "inspect or empty the content-addressed result cache",
+    ),
+    "lint": Verb(
+        _lint, ("paths", "preset", "format", "--fix", ("--diff", "--check")),
+        "static barrier-protocol analysis and repair (docs/staticcheck.md); "
+        "exits 1 on findings, 2 on unreadable input",
+    ),
+    "tune": Verb(
+        _tune,
+        _BATCH + ("rounds", "target", "format", "--compute-ns", "--measure"),
+        "cost-model-backed strategy advice (docs/tuning.md)",
+    ),
+    "serve": Verb(
+        _serve, _SERVICE, "run the crash-safe sweep service (docs/service.md)"
+    ),
+    "crashtest": Verb(
+        _crashtest, _CRASH,
+        "run the service crash matrix (docs/crashtest.md); exits 1 unless "
+        "every scenario passed",
+    ),
+}
+
+PAPER_VERBS = tuple(name for name, verb in VERBS.items() if verb.paper)
+VERBS["all"] = Verb(
+    _all,
+    tuple(dict.fromkeys(r for n in PAPER_VERBS for r in VERBS[n].reads)),
+    f"every paper verb in order ({', '.join(PAPER_VERBS)}); slow",
+)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-harness",
+        description=(
+            "Reproduce the tables and figures of 'Inter-Block GPU "
+            "Communication via Fast Barrier Synchronization' (IPDPS 2010) "
+            "on a simulated device. '<verb> --help' lists the flags a "
+            "verb reads; any other flag exits 2."
+        ),
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    for name, verb in VERBS.items():
+        sub = verbs.add_parser(name, help=verb.help, description=verb.help)
+        for item in verb.reads:
+            if isinstance(item, str):
+                _add_flags(sub, GROUPS.get(item, (item,)))
+            else:
+                _add_flags(sub.add_mutually_exclusive_group(), item)
+    return parser
+
+
+def _add_flags(target, names) -> None:
+    for flag in names:
+        # presets registered at runtime are valid choices too
+        live = {"choices": preset_names()} if flag == "--preset" else {}
+        target.add_argument(flag, **FLAGS[flag], **live)
 
 
 def _epilogue(want: str, started: float, cache=None) -> None:
@@ -372,10 +650,7 @@ def _epilogue(want: str, started: float, cache=None) -> None:
             f"hit-rate {rate:.1f}%]",
             file=sys.stderr,
         )
-    print(
-        f"\n[{want} completed in {time.time() - started:.1f}s]",
-        file=sys.stderr,
-    )
+    print(f"\n[{want} completed in {time.time() - started:.1f}s]", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -389,542 +664,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-harness",
-        description=(
-            "Reproduce the tables and figures of 'Inter-Block GPU "
-            "Communication via Fast Barrier Synchronization' (IPDPS 2010) "
-            "on the simulated GTX 280."
-        ),
-    )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "table1",
-            "fig11",
-            "fig13",
-            "fig14",
-            "fig15",
-            "headline",
-            "models",
-            "extensions",
-            "composition",
-            "trace",
-            "report",
-            "diff",
-            "sanitize",
-            "chaos",
-            "cache",
-            "lint",
-            "tune",
-            "serve",
-            "crashtest",
-            "all",
-        ],
-    )
-    parser.add_argument(
-        "action",
-        nargs="*",
-        default=None,
-        help="cache: 'stats' (default) or 'clear'; "
-        "lint: files/directories to analyze (default: src/repro examples)",
-    )
-    parser.add_argument(
-        "--preset",
-        default="gtx280",
-        choices=preset_names(),
-        help="device preset to run against (default gtx280, the paper's "
-        "card); see repro.gpu.presets",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=200,
-        help="micro-benchmark rounds (paper: 10000; default 200)",
-    )
-    parser.add_argument(
-        "--step",
-        type=int,
-        default=3,
-        help="block-count step for algorithm sweeps (paper: 1; default 3)",
-    )
-    parser.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["fft", "swat", "bitonic"],
-        choices=["fft", "swat", "bitonic"],
-        help="workloads for fig13/fig14",
-    )
-    parser.add_argument(
-        "--strategy",
-        default="gpu-lockfree",
-        help="strategy for the trace/sanitize/chaos experiments "
-        "(sanitize and chaos also accept 'all')",
-    )
-    parser.add_argument(
-        "--blocks",
-        type=int,
-        default=8,
-        help="grid size for the trace/sanitize/chaos experiments",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="sanitize/chaos: base seed (default: the sanitizer's); "
-        "failure reports print the derived seed to replay",
-    )
-    parser.add_argument(
-        "--schedules",
-        type=int,
-        default=25,
-        help="sanitize: fuzzed schedules per strategy (default 25)",
-    )
-    parser.add_argument(
-        "--plans",
-        type=int,
-        default=50,
-        help="chaos: seeded fault plans per strategy (default 50)",
-    )
-    parser.add_argument(
-        "--out",
-        default="trace.json",
-        help="output path for the trace experiment",
-    )
-    parser.add_argument(
-        "--plot",
-        action="store_true",
-        help="render fig11/fig13/fig14 as ASCII charts as well as tables",
-    )
-    parser.add_argument(
-        "--report-out",
-        default="report.md",
-        help="output path for the report experiment",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="diff: path to the blessed sweep JSON",
-    )
-    parser.add_argument(
-        "--current",
-        default=None,
-        help="diff: path to the sweep JSON to compare against the baseline",
-    )
-    parser.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.0,
-        help="diff: relative tolerance before a point counts as drift",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweeps and campaigns (default 1: "
-        "serial, in-process); results are identical at any job count",
-    )
-    parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="memoize runs in the content-addressed result cache "
-        "(--no-cache disables; see 'cache stats' / 'cache clear')",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache location (default benchmarks/out/cache)",
-    )
-    parser.add_argument(
-        "--journal",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="write-ahead journal every completed sweep cell so an "
-        "interrupted run can be resumed (docs/resilience.md)",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        default=None,
-        help="journal location (default benchmarks/out/journal)",
-    )
-    parser.add_argument(
-        "--resume",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="RUN_ID",
-        help="replay a journaled run and execute only the remainder; "
-        "pass the run-id an interrupted run printed, or no value to "
-        "resume whatever journal matches each batch (implies --journal)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="lint: output format (json uses the shared schema-2 "
-        "envelope, kind 'lint-report')",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="lint: exit 1 on any finding, not just error severity; "
-        "tune: exit 1 when the configured strategy is suboptimal",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="lint: apply every machine-applicable repair in place, "
-        "re-linting after each patch to prove the findings are gone "
-        "(docs/staticcheck.md)",
-    )
-    parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="lint --fix: print pending repairs as a unified diff "
-        "instead of writing files",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="lint --fix: write nothing and exit 1 when any repair is "
-        "pending (the CI fix-clean gate)",
-    )
-    parser.add_argument(
-        "--compute-ns",
-        type=float,
-        default=5_000.0,
-        help="tune: per-round computation time of the workload in ns "
-        "(default 5000)",
-    )
-    parser.add_argument(
-        "--measure",
-        action="store_true",
-        help="tune: validate the model with a measured sweep — run the "
-        "workload's microbenchmark under every modeled strategy plus a "
-        "compute-only baseline through the executor",
-    )
-    service = parser.add_argument_group(
-        "serve", "the crash-safe sweep service (docs/service.md)"
-    )
-    service.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
-    )
-    service.add_argument(
-        "--port",
-        type=int,
-        default=8642,
-        help="serve: bind port (default 8642; 0 picks a free port)",
-    )
-    service.add_argument(
-        "--service-dir",
-        default=None,
-        help="serve: job table + journals + results root "
-        "(default benchmarks/out/service)",
-    )
-    service.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="serve: worker processes pulling jobs (default 1; 0 = "
-        "workers run elsewhere against the same --service-dir)",
-    )
-    service.add_argument(
-        "--lease-s",
-        type=float,
-        default=30.0,
-        help="serve: worker lease duration in seconds (default 30); a "
-        "lease that expires is requeued by the reaper",
-    )
-    service.add_argument(
-        "--retry-budget",
-        type=int,
-        default=2,
-        help="serve: lease-expiry re-executions before a job is marked "
-        "failed (default 2)",
-    )
-    service.add_argument(
-        "--max-queued",
-        type=int,
-        default=256,
-        help="serve: bounded-queue capacity; a full queue answers 429 "
-        "(default 256)",
-    )
-    chaos_grp = parser.add_argument_group(
-        "crashtest", "the service crash matrix (docs/crashtest.md)"
-    )
-    chaos_grp.add_argument(
-        "--budget-s",
-        type=float,
-        default=900.0,
-        help="crashtest: wall-clock budget in seconds; scenarios past "
-        "it are reported as skipped and fail the matrix (default 900)",
-    )
-    chaos_grp.add_argument(
-        "--crash-lease-s",
-        type=float,
-        default=1.0,
-        help="crashtest: worker lease duration (default 1.0 — short, "
-        "so lease-expiry recovery is exercised quickly)",
-    )
-    chaos_grp.add_argument(
-        "--skew-s",
-        type=float,
-        default=0.6,
-        help="crashtest: injected clock skew for the skewed-host "
-        "configs (default 0.6 — more than a third of the lease)",
-    )
-    chaos_grp.add_argument(
-        "--crash-points",
-        nargs="+",
-        default=None,
-        metavar="POINT",
-        help="crashtest: restrict the matrix to these registered crash "
-        "points (default: all of them)",
-    )
-    chaos_grp.add_argument(
-        "--crash-actions",
-        nargs="+",
-        default=None,
-        choices=sorted(CRASH_ACTIONS),
-        metavar="ACTION",
-        help="crashtest: restrict the matrix to these actions "
-        f"({', '.join(sorted(CRASH_ACTIONS))})",
-    )
-    parser.add_argument(
-        "--save-sweeps",
-        metavar="DIR",
-        default=None,
-        help=(
-            "persist fig11/fig13/fig14 sweeps as JSON + CSV under DIR "
-            "(reload with repro.harness.store.load_sweep; diff with "
-            "repro.harness.regression.compare_sweeps)"
-        ),
-    )
+    parser = _parser()
     args = parser.parse_args(argv)
-    if (args.diff or args.check) and not args.fix:
+    if args.verb == "lint" and (args.diff or args.check) and not args.fix:
         parser.error("--diff and --check require --fix")
-    if args.diff and args.check:
-        parser.error("--diff and --check are mutually exclusive")
-    if args.fix and args.experiment != "lint":
-        parser.error("--fix only applies to the lint experiment")
-    if args.action and args.experiment == "cache":
-        if len(args.action) > 1 or args.action[0] not in ("stats", "clear"):
-            parser.error(
-                "cache takes at most one action: 'stats' or 'clear'"
-            )
-    elif args.action and args.experiment != "lint":
-        parser.error(
-            f"positional arguments {args.action!r} only apply to the "
-            "cache and lint experiments"
-        )
-
     started = time.time()
-    sections: List[str] = []
-    want = args.experiment
-
-    # One config object per invocation; every experiment below sees the
-    # same preset.  Block counts that the paper pins at 30 (its GTX 280's
-    # SM count) are clamped to the preset's co-residency limit so smaller
-    # devices stay runnable — for gtx280 the clamp is the identity, which
-    # keeps output and cache keys byte-identical to the pre-preset CLI.
-    preset_cfg = get_preset(args.preset)
-    limit = preset_cfg.topology.max_co_resident_blocks(preset_cfg)
-    pinned_blocks = min(30, limit)
-
-    if want == "serve":
-        from pathlib import Path
-
-        from repro.service.app import serve
-
-        service_dir = Path(args.service_dir or "benchmarks/out/service")
-        return serve(
-            service_dir,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            lease_s=args.lease_s,
-            retry_budget=args.retry_budget,
-            max_queued=args.max_queued,
-            worker_jobs=args.jobs,
-            use_cache=args.cache,
-        )
-
-    if want == "crashtest":
-        from repro.faults.crashtest import crash_campaign
-
-        crash_report = crash_campaign(
-            points=args.crash_points,
-            actions=args.crash_actions,
-            budget_s=args.budget_s,
-            lease_s=args.crash_lease_s,
-            skew_s=args.skew_s,
-            log=lambda msg: print(msg, file=sys.stderr),
-        )
-        print(crash_report.render())
-        return 0 if crash_report.ok else 1
-
-    if want == "all" and args.resume is not None:
-        # 'all' runs many batches; each resumes from its own journal.
-        args.resume = "auto"
-
-    from repro.parallel import (
-        DEFAULT_CACHE_DIR,
-        DEFAULT_JOURNAL_DIR,
-        Executor,
-        ResultCache,
-    )
-
-    cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    cache = ResultCache(cache_dir) if args.cache else None
-    journaling = args.journal or args.resume is not None
-    journal_dir = (args.journal_dir or DEFAULT_JOURNAL_DIR) if journaling else None
-    executor: Optional[Executor] = None
-    if args.jobs > 1 or cache is not None or journaling:
-        executor = Executor(
-            jobs=args.jobs, cache=cache, journal_dir=journal_dir
-        )
-
-    if want == "cache":
-        store = ResultCache(cache_dir)
-        if args.action and args.action[0] == "clear":
-            removed = store.clear()
-            sections.append(
-                f"cleared {removed} entr{'y' if removed == 1 else 'ies'} "
-                f"from {store.root}"
-            )
-        else:
-            sections.append(store.stats().render())
-
-    if want in ("table1", "all"):
-        sections.append(
-            report.render_table1(
-                experiments.table1(
-                    config=preset_cfg,
-                    num_blocks=pinned_blocks,
-                    executor=executor,
-                    resume=args.resume,
-                )
-            )
-        )
-    if want in ("fig11", "all"):
-        sweep = experiments.fig11(
-            config=preset_cfg,
-            rounds=args.rounds,
-            executor=executor,
-            resume=args.resume,
-        )
-        sections.append(
-            report.render_sweep_totals(
-                sweep, f"Fig. 11 (micro-benchmark, {args.rounds} rounds)"
-            )
-        )
-        _persist_sweep(args, sweep, "fig11")
-        if args.plot:
-            from repro.harness.plot import plot_sweep
-
-            sections.append(
-                plot_sweep(sweep, sync=True, title="Fig. 11 sync time")
-            )
-    if want in ("fig13", "all"):
-        sections.append(
-            _fig13_14(args, sync=False, executor=executor, cfg=preset_cfg)
-        )
-    if want in ("fig14", "all"):
-        sections.append(
-            _fig13_14(args, sync=True, executor=executor, cfg=preset_cfg)
-        )
-    if want in ("fig15", "all"):
-        sections.append(
-            report.render_fig15(
-                experiments.fig15(
-                    config=preset_cfg,
-                    num_blocks=pinned_blocks,
-                    executor=executor,
-                    resume=args.resume,
-                )
-            )
-        )
-    if want in ("headline", "all"):
-        sections.append(
-            report.render_headline(
-                experiments.headline(
-                    config=preset_cfg,
-                    num_blocks=pinned_blocks,
-                    executor=executor,
-                    resume=args.resume,
-                )
-            )
-        )
-    if want in ("models", "all"):
-        model_xs = [n for n in (1, 2, 4, 8, 16, 24, 30) if n <= limit]
-        sections.append(
-            report.render_model_validation(
-                experiments.model_validation(
-                    config=preset_cfg, blocks=model_xs
-                )
-            )
-        )
-    if want in ("extensions", "all"):
-        sections.append(
-            _extensions_study(args, executor=executor, cfg=preset_cfg)
-        )
-    if want in ("composition", "all"):
-        from repro.harness.tracestats import composition_study, render_composition
-
-        sections.append(
-            render_composition(
-                composition_study(
-                    num_blocks=pinned_blocks, config=preset_cfg
-                )
-            )
-        )
-    if want == "trace":
-        sections.append(_trace_one(args, cfg=preset_cfg))
-    if want == "report":
-        from repro.harness.paperreport import generate_report
-
-        path = generate_report(
-            args.report_out, config=preset_cfg, micro_rounds=args.rounds
-        )
-        sections.append(f"wrote reproduction report to {path}")
-    code = 0
-    if want == "diff":
-        if not args.baseline or not args.current:
-            parser.error("diff requires --baseline and --current")
-        from repro.harness.regression import compare_sweeps
-        from repro.harness.store import load_sweep
-
-        drifts = compare_sweeps(
-            load_sweep(args.baseline), load_sweep(args.current), args.rel_tol
-        )
-        if drifts:
-            sections.append(
-                f"{len(drifts)} drifted point(s):\n"
-                + "\n".join(f"  {d}" for d in drifts)
-            )
-            code = 1
-        else:
-            sections.append("no drift: sweeps are identical within tolerance")
-    if want == "sanitize":
-        text, code = _sanitize(args, executor=executor, cfg=preset_cfg)
-        sections.append(text)
-    if want == "chaos":
-        text, code = _chaos(args, executor=executor, cfg=preset_cfg)
-        sections.append(text)
-    if want == "lint":
-        text, code = _lint(args)
-        if text:
-            sections.append(text)
-    if want == "tune":
-        text, code = _tune(args, executor=executor)
-        sections.append(text)
-
-    if sections or not code:
-        print("\n\n".join(sections))
-    _epilogue(want, started, cache)
+    verb = VERBS[args.verb]
+    ctx = Context(args, execution="execution" in verb.reads)
+    text, code = verb.handler(args, ctx)
+    if text:
+        print(text)
+    _epilogue(args.verb, started, ctx.cache)
     return code
 
 

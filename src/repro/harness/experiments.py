@@ -505,6 +505,7 @@ def model_validation(
     config: Optional[DeviceConfig] = None,
     blocks: Optional[Sequence[int]] = None,
     rounds: int = 50,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Measured vs predicted per-round barrier cost (Eqs. 6, 7, 9).
 
@@ -514,7 +515,8 @@ def model_validation(
     tuner's topology-aware cost table
     (:func:`repro.model.tune.barrier_cost_table`).  The model assumes
     all blocks hit the barrier simultaneously, so measurements may fall
-    slightly below predictions for unbalanced trees.
+    slightly below predictions for unbalanced trees.  ``executor`` runs
+    (and, when caching, memoizes) the probe cells.
     """
     from repro.model.tune import barrier_cost_table
 
@@ -523,7 +525,9 @@ def model_validation(
     out: Dict[str, Dict[int, Dict[str, float]]] = {}
     for n in xs:
         predicted = barrier_cost_table(n, cfg.timings, cfg.topology)
-        _, sync = probe_sync_ns(tuple(predicted), n, rounds, cfg)
+        _, sync = probe_sync_ns(
+            tuple(predicted), n, rounds, cfg, executor=executor
+        )
         for strat, cost in predicted.items():
             out.setdefault(strat, {})[n] = {
                 "measured": sync[strat] / rounds,

@@ -231,3 +231,79 @@ def test_tune_unknown_strategy_fails(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tune", "--strategy", "gpu-sense-reversal"])
     assert "unmodeled" in str(exc.value)
+
+
+# -- the verb table -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig11", "--plans", "3"],
+        ["report", "--jobs", "2"],
+        ["models", "--schedules", "5"],
+        ["cache", "--preset", "gtx280"],
+        ["crashtest", "--rounds", "5"],
+    ],
+)
+def test_verb_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cache_verb_stats_and_clear(tmp_path, capsys):
+    from repro.parallel import ResultCache
+
+    root = tmp_path / "cache"
+    store = ResultCache(root)
+    store.put(store.key("w", {"x": 1}), 1)
+    store.put(store.key("w", {"x": 2}), 2)
+    assert main(["cache", "--cache-dir", str(root)]) == 0
+    assert f"cache at {root}: 2 entries" in capsys.readouterr().out
+    assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+    assert capsys.readouterr().out == f"cleared 2 entries from {root}\n"
+    assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+    assert f"cache at {root}: 0 entries" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "purge"])
+    assert exc.value.code == 2
+
+
+def test_all_runs_every_paper_verb_once_in_table_order(monkeypatch, capsys):
+    from repro.harness import cli
+
+    calls = []
+
+    def fake(name):
+        def handler(args, ctx):
+            calls.append(name)
+            return f"<{name}>", 0
+
+        return handler
+
+    for name in cli.PAPER_VERBS:
+        monkeypatch.setitem(
+            cli.VERBS, name, cli.VERBS[name]._replace(handler=fake(name))
+        )
+    paper = [
+        "table1", "fig11", "fig13", "fig14", "fig15", "headline", "models",
+        "extensions", "composition",
+    ]
+    assert list(cli.PAPER_VERBS) == paper
+    assert main(["all"]) == 0
+    assert calls == paper
+    assert capsys.readouterr().out == "\n\n".join(f"<{n}>" for n in paper) + "\n"
+
+
+def test_models_execution_flags_reach_the_probe(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    argv = ["models", "--cache", "--cache-dir", str(cache_dir)]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    second = capsys.readouterr()
+    assert second.out == first.out
+    assert "hit-rate 100.0%" in second.err
+    assert list(cache_dir.glob("*/*.json"))
